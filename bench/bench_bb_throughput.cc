@@ -8,8 +8,9 @@
 //    up admission; compare ns/op against the per-flow rows.
 //  * BM_PolicyCheckOnly / BM_PathViewOnly — pipeline stage breakdown.
 //  * BM_JournalAppend / BM_JournalReplay — durability overhead: the cost of
-//    write-ahead logging per request, and crash-recovery time as a function
-//    of journal tail length (the knob anchor_every trades against).
+//    write-ahead logging per request (in memory and on a real file), and
+//    crash-recovery time as a function of journal tail length (the knob
+//    anchor_every trades against).
 
 //  * BM_ConcurrentAdmit — aggregate admit/release throughput of the
 //    ConcurrentBrokerFront at 1/2/4/8 threads on fully DISJOINT paths (the
@@ -25,8 +26,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -332,9 +337,19 @@ BENCHMARK(BM_JournalGroupCommit)
     ->UseManualTime();
 
 // Journaled admit/release cycle: BM_PerFlowAdmitRelease plus the WAL append
-// and idempotency bookkeeping — the durability tax per request.
+// and idempotency bookkeeping — the durability tax per request. fs:0 appends
+// to a MemoryJournalFile; fs:1 to an FsJournalFile on a temp file, so the
+// write(2) per append (and the descriptor handling around it) is priced in.
 void BM_JournalAppend(benchmark::State& state) {
-  MemoryJournalFile file;
+  const bool on_disk = state.range(0) != 0;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("qosbb_bench_journal_" + std::to_string(::getpid()) + ".bin"))
+          .string();
+  std::remove(path.c_str());
+  MemoryJournalFile memory;
+  FsJournalFile fs(path);
+  JournalFile& file = on_disk ? static_cast<JournalFile&>(fs) : memory;
   auto db = DurableBroker::open(
       fig8_topology(Fig8Setting::kRateBasedOnly, 60000.0 * 10), {}, file);
   if (!db.is_ok()) {
@@ -363,8 +378,10 @@ void BM_JournalAppend(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(state.iterations());
+  state.SetLabel(on_disk ? "FsJournalFile, temp file" : "MemoryJournalFile");
+  std::remove(path.c_str());
 }
-BENCHMARK(BM_JournalAppend);
+BENCHMARK(BM_JournalAppend)->Arg(0)->Arg(1)->ArgNames({"fs"});
 
 // Crash recovery: re-open a broker from a journal with `range(0)` logged
 // admit/release records after the last anchor. Linear in tail length —

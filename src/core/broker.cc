@@ -496,22 +496,43 @@ Result<BitsPerSecond> BandwidthBroker::release_link_external(
   return freed;
 }
 
-std::vector<std::size_t> batch_grouped_order(
-    std::span<const FlowServiceRequest> requests) {
+namespace {
+
+template <typename At>
+std::vector<std::size_t> grouped_order(std::size_t n, At at) {
   std::vector<std::size_t> order;
-  order.reserve(requests.size());
-  std::vector<bool> placed(requests.size(), false);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
+  order.reserve(n);
+  std::vector<bool> placed(n, false);
+  for (std::size_t i = 0; i < n; ++i) {
     if (placed[i]) continue;
-    for (std::size_t j = i; j < requests.size(); ++j) {
-      if (!placed[j] && requests[j].ingress == requests[i].ingress &&
-          requests[j].egress == requests[i].egress) {
+    const FlowServiceRequest& head = at(i);
+    for (std::size_t j = i; j < n; ++j) {
+      if (!placed[j] && at(j).ingress == head.ingress &&
+          at(j).egress == head.egress) {
         placed[j] = true;
         order.push_back(j);
       }
     }
   }
   return order;
+}
+
+}  // namespace
+
+std::vector<std::size_t> batch_grouped_order(
+    std::span<const FlowServiceRequest> requests) {
+  return grouped_order(requests.size(),
+                       [&](std::size_t i) -> const FlowServiceRequest& {
+                         return requests[i];
+                       });
+}
+
+std::vector<std::size_t> batch_grouped_order(
+    std::span<const FlowServiceRequest* const> requests) {
+  return grouped_order(requests.size(),
+                       [&](std::size_t i) -> const FlowServiceRequest& {
+                         return *requests[i];
+                       });
 }
 
 }  // namespace qosbb

@@ -44,6 +44,35 @@ Result<StatusCode> get_status_code(WireReader& r) {
   return static_cast<StatusCode>(c.value());
 }
 
+/// Admit request fields after the rid (kAdmit payload; replay_record
+/// decodes them in this order).
+void put_admit_request(WireWriter& w, const FlowServiceRequest& request,
+                       Seconds now) {
+  put_profile(w, request.profile);
+  w.f64(request.e2e_delay_req);
+  w.i64(request.priority);
+  w.str(request.ingress);
+  w.str(request.egress);
+  w.f64(now);
+}
+
+/// execute_batch's result for a release member.
+Result<Reservation> release_result(const Status& s, FlowId flow) {
+  if (!s.is_ok()) return s;
+  Reservation r;
+  r.flow = flow;
+  return r;
+}
+
+/// A rid reused by an operation of another kind: a client bug.
+Status rid_reuse_error(RequestId rid, JournalOpKind recorded,
+                       JournalOpKind kind) {
+  return Status::invalid_argument(
+      "request id " + std::to_string(rid) + " reused across operations (" +
+      journal_op_kind_name(recorded) + " vs " + journal_op_kind_name(kind) +
+      ")");
+}
+
 /// Status returned to a duplicate delivery whose original decision was an
 /// error: same code, new message (Status equality compares codes only).
 Status replayed_error(StatusCode code, const char* what) {
@@ -303,6 +332,8 @@ Result<std::unique_ptr<DurableBroker>> DurableBroker::open(
     ++db->stats_.replayed;
     ++db->records_since_anchor_;
   }
+  db->recovered_order_ = std::move(db->window_order_);
+  db->window_order_.clear();
   // A torn tail holds no acknowledged data — drop it so future appends
   // extend the clean prefix instead of a partial record.
   if (scan.torn_tail) {
@@ -321,10 +352,7 @@ const DurableBroker::Decision* DurableBroker::find_decision(
   auto it = window_.find(rid);
   if (it == window_.end()) return nullptr;
   if (it->second.kind != kind) {
-    *mismatch = Status::invalid_argument(
-        "request id " + std::to_string(rid) + " reused across operations (" +
-        journal_op_kind_name(it->second.kind) + " vs " +
-        journal_op_kind_name(kind) + ")");
+    *mismatch = rid_reuse_error(rid, it->second.kind, kind);
     return nullptr;
   }
   ++stats_.dedup_hits;
@@ -348,21 +376,27 @@ void DurableBroker::remember(RequestId rid, JournalOpKind kind,
 Status DurableBroker::log_decision(RequestId rid, JournalOpKind kind,
                                    const WireBuffer& request,
                                    const WireBuffer& outcome) {
-  WireBuffer payload = request;
-  payload.insert(payload.end(), outcome.begin(), outcome.end());
-  const WireBuffer rec = frame_journal_record(next_lsn_, kind, payload);
-  if (Status s = file_.append(rec); !s.is_ok()) return s;
+  frame_.clear();
+  WireWriter& w = frame_.open_record(next_lsn_, kind);
+  w.raw(request);
+  w.raw(outcome);
+  frame_.close_record();
+  if (Status s = file_.append(frame_.bytes()); !s.is_ok()) return s;
   ++next_lsn_;
   ++stats_.appended;
   ++records_since_anchor_;
   remember(rid, kind, outcome);
+  maybe_anchor();
+  return Status::ok();
+}
+
+void DurableBroker::maybe_anchor() {
   if (options_.anchor_every > 0 &&
       records_since_anchor_ >= options_.anchor_every &&
       bb_->classes().active_grants() == 0) {
     // best-effort: the un-anchored log stays valid
     (void)checkpoint();  // qosbb-lint: allow(discarded-status)
   }
-  return Status::ok();
 }
 
 Status DurableBroker::checkpoint() {
@@ -370,12 +404,15 @@ Status DurableBroker::checkpoint() {
   if (!frame.is_ok()) return frame.status();  // kUnavailable when live grants
   WireWriter p;
   p.bytes(frame.value());
-  p.u32(static_cast<std::uint32_t>(window_order_.size()));
-  for (RequestId rid : window_order_) {
-    const Decision& d = window_.at(rid);
-    p.u64(rid);
-    p.u8(static_cast<std::uint8_t>(d.kind));
-    p.bytes(d.outcome);
+  p.u32(static_cast<std::uint32_t>(recovered_order_.size() +
+                                    window_order_.size()));
+  for (const auto* order : {&recovered_order_, &window_order_}) {
+    for (RequestId rid : *order) {
+      const Decision& d = window_.at(rid);
+      p.u64(rid);
+      p.u8(static_cast<std::uint8_t>(d.kind));
+      p.bytes(d.outcome);
+    }
   }
   const WireBuffer rec =
       frame_journal_record(next_lsn_, JournalOpKind::kAnchor, p.take());
@@ -460,28 +497,8 @@ Result<PathId> DurableBroker::provision_path(RequestId rid,
 
 Result<Reservation> DurableBroker::request_service(
     RequestId rid, const FlowServiceRequest& request, Seconds now) {
-  Status mismatch = Status::ok();
-  if (const Decision* d =
-          find_decision(rid, JournalOpKind::kAdmit, &mismatch)) {
-    return decode_reservation_outcome(d->outcome, "admit");
-  }
-  if (!mismatch.is_ok()) return mismatch;
-  WireWriter q;
-  q.u64(rid);
-  put_profile(q, request.profile);
-  q.f64(request.e2e_delay_req);
-  q.i64(request.priority);
-  q.str(request.ingress);
-  q.str(request.egress);
-  q.f64(now);
-  auto res = bb_->request_service(request, now);
-  const WireBuffer outcome =
-      encode_reservation_outcome(res, bb_->last_outcome());
-  if (Status s = log_decision(rid, JournalOpKind::kAdmit, q.buffer(), outcome);
-      !s.is_ok()) {
-    return s;
-  }
-  return res;
+  const DurableOp op = DurableOp::admit(rid, request);
+  return std::move(execute_batch({&op, 1}, now).front());
 }
 
 std::vector<Result<Reservation>> DurableBroker::request_service_batch(
@@ -489,102 +506,112 @@ std::vector<Result<Reservation>> DurableBroker::request_service_batch(
     std::span<const FlowServiceRequest> requests, Seconds now) {
   QOSBB_REQUIRE(rids.size() == requests.size(),
                 "request_service_batch: rid/request count mismatch");
-  std::vector<Result<Reservation>> results(
-      requests.size(), Result<Reservation>(Status::rejected("unset")));
-  const std::vector<std::size_t> order = batch_grouped_order(requests);
-
-  // Fresh members executed this batch, in grouped order: their journal
-  // payloads (request ++ outcome) buffer up for ONE group append, and
-  // their outcomes serve in-batch duplicate rids before the window does.
-  struct Fresh {
-    std::size_t idx = 0;
-    WireBuffer outcome;
-  };
-  std::vector<Fresh> fresh;
-  std::vector<WireBuffer> payloads;
-  std::unordered_map<RequestId, std::size_t> in_batch;  // rid -> fresh slot
-
-  for (const std::size_t idx : order) {
-    const RequestId rid = rids[idx];
-    Status mismatch = Status::ok();
-    if (const Decision* d =
-            find_decision(rid, JournalOpKind::kAdmit, &mismatch)) {
-      results[idx] = decode_reservation_outcome(d->outcome, "admit");
-      continue;
-    }
-    if (!mismatch.is_ok()) {
-      results[idx] = mismatch;
-      continue;
-    }
-    if (rid != kNoRequestId) {
-      if (auto it = in_batch.find(rid); it != in_batch.end()) {
-        ++stats_.dedup_hits;
-        results[idx] =
-            decode_reservation_outcome(fresh[it->second].outcome, "admit");
-        continue;
-      }
-    }
-    const FlowServiceRequest& request = requests[idx];
-    WireWriter q;
-    q.u64(rid);
-    put_profile(q, request.profile);
-    q.f64(request.e2e_delay_req);
-    q.i64(request.priority);
-    q.str(request.ingress);
-    q.str(request.egress);
-    q.f64(now);
-    auto res = bb_->request_service(request, now);
-    WireBuffer outcome = encode_reservation_outcome(res, bb_->last_outcome());
-    WireBuffer payload = q.take();
-    payload.insert(payload.end(), outcome.begin(), outcome.end());
-    payloads.push_back(std::move(payload));
-    results[idx] = std::move(res);
-    if (rid != kNoRequestId) in_batch.emplace(rid, fresh.size());
-    fresh.push_back(Fresh{idx, std::move(outcome)});
+  std::vector<DurableOp> ops;
+  ops.reserve(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ops.push_back(DurableOp::admit(rids[i], requests[i]));
   }
-  if (fresh.empty()) return results;
-
-  // Group commit: every fresh record framed at a consecutive LSN, one
-  // durable append for the whole batch.
-  const WireBuffer frame =
-      frame_journal_group(next_lsn_, JournalOpKind::kAdmit, payloads);
-  if (Status s = file_.append(frame); !s.is_ok()) {
-    for (const Fresh& f : fresh) results[f.idx] = s;
-    return results;
-  }
-  next_lsn_ += fresh.size();
-  stats_.appended += fresh.size();
-  records_since_anchor_ += fresh.size();
-  for (Fresh& f : fresh) {
-    remember(rids[f.idx], JournalOpKind::kAdmit, std::move(f.outcome));
-  }
-  if (options_.anchor_every > 0 &&
-      records_since_anchor_ >= options_.anchor_every &&
-      bb_->classes().active_grants() == 0) {
-    // best-effort, as in log_decision
-    (void)checkpoint();  // qosbb-lint: allow(discarded-status)
-  }
-  return results;
+  return execute_batch(ops, now);
 }
 
 Status DurableBroker::release_service(RequestId rid, FlowId flow) {
+  const DurableOp op = DurableOp::release(rid, flow);
+  return execute_batch({&op, 1}, 0.0).front().status();
+}
+
+std::vector<Result<Reservation>> DurableBroker::execute_batch(
+    std::span<const DurableOp> ops, Seconds now) {
+  std::vector<Result<Reservation>> results(
+      ops.size(), Result<Reservation>(Status::rejected("unset")));
+  frame_.clear();
+  fresh_.clear();
+  batch_rids_.clear();
+  std::size_t i = 0;
+  while (i < ops.size()) {
+    if (!ops[i].is_admit()) {
+      execute_member(ops[i], i, now, &results[i]);
+      ++i;
+      continue;
+    }
+    run_.clear();
+    for (std::size_t j = i; j < ops.size() && ops[j].is_admit(); ++j) {
+      run_.push_back(ops[j].request);
+    }
+    for (const std::size_t k : batch_grouped_order(run_)) {
+      execute_member(ops[i + k], i + k, now, &results[i + k]);
+    }
+    i += run_.size();
+  }
+  if (fresh_.empty()) return results;
+
+  // Group commit: one append for every fresh record of the batch.
+  if (Status s = file_.append(frame_.bytes()); !s.is_ok()) {
+    for (const Fresh& f : fresh_) results[f.idx] = s;
+    return results;
+  }
+  next_lsn_ += fresh_.size();
+  stats_.appended += fresh_.size();
+  records_since_anchor_ += fresh_.size();
+  for (Fresh& f : fresh_) {
+    remember(ops[f.idx].rid, f.kind, std::move(f.outcome));
+  }
+  maybe_anchor();
+  return results;
+}
+
+void DurableBroker::execute_member(const DurableOp& op, std::size_t idx,
+                                   Seconds now, Result<Reservation>* result) {
+  const JournalOpKind kind =
+      op.is_admit() ? JournalOpKind::kAdmit : JournalOpKind::kRelease;
+  // A recorded decision: the window first, then the members this batch
+  // already executed (they are remembered only after the append).
   Status mismatch = Status::ok();
-  if (const Decision* d =
-          find_decision(rid, JournalOpKind::kRelease, &mismatch)) {
-    return decode_status_outcome(d->outcome, "release");
+  const WireBuffer* recorded = nullptr;
+  if (const Decision* d = find_decision(op.rid, kind, &mismatch)) {
+    recorded = &d->outcome;
+  } else if (mismatch.is_ok() && op.rid != kNoRequestId) {
+    if (auto it = batch_rids_.find(op.rid); it != batch_rids_.end()) {
+      const Fresh& earlier = fresh_[it->second];
+      if (earlier.kind != kind) {
+        mismatch = rid_reuse_error(op.rid, earlier.kind, kind);
+      } else {
+        ++stats_.dedup_hits;
+        recorded = &earlier.outcome;
+      }
+    }
   }
-  if (!mismatch.is_ok()) return mismatch;
-  WireWriter q;
-  q.u64(rid);
-  q.i64(flow);
-  const Status res = bb_->release_service(flow);
-  const WireBuffer outcome = encode_status_outcome(res);
-  if (Status s = log_decision(rid, JournalOpKind::kRelease, q.buffer(),
-                              outcome);
-      !s.is_ok()) {
-    return s;
+  if (!mismatch.is_ok()) {
+    *result = mismatch;
+    return;
   }
-  return res;
+  if (recorded != nullptr) {
+    if (op.is_admit()) {
+      *result = decode_reservation_outcome(*recorded, "admit");
+    } else {
+      *result = release_result(decode_status_outcome(*recorded, "release"),
+                               op.flow);
+    }
+    return;
+  }
+
+  WireWriter& w = frame_.open_record(next_lsn_ + fresh_.size(), kind);
+  w.u64(op.rid);
+  WireBuffer outcome;
+  if (op.is_admit()) {
+    put_admit_request(w, *op.request, now);
+    auto res = bb_->request_service(*op.request, now);
+    outcome = encode_reservation_outcome(res, bb_->last_outcome());
+    *result = std::move(res);
+  } else {
+    w.i64(op.flow);
+    const Status res = bb_->release_service(op.flow);
+    outcome = encode_status_outcome(res);
+    *result = release_result(res, op.flow);
+  }
+  w.raw(outcome);
+  frame_.close_record();
+  if (op.rid != kNoRequestId) batch_rids_.emplace(op.rid, fresh_.size());
+  fresh_.push_back(Fresh{idx, kind, std::move(outcome)});
 }
 
 Result<Reservation> DurableBroker::renegotiate_service(RequestId rid,

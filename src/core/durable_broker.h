@@ -49,7 +49,10 @@ namespace qosbb {
 struct DurableBrokerOptions {
   /// Maximum remembered decisions (FIFO eviction). A retry arriving after
   /// its decision was evicted re-executes as a fresh request — size the
-  /// window to dominate the client retry horizon.
+  /// window to dominate the client retry horizon. The decisions recovered
+  /// by open() are kept on top of this for the broker's lifetime (see
+  /// `recovered_order_`), so a restarted broker remembers up to twice as
+  /// many.
   std::size_t dedup_window = 4096;
   /// Auto-checkpoint after this many appended records (0 = manual only).
   /// Skipped while the broker is non-quiescent; retried on later appends.
@@ -61,6 +64,22 @@ struct DurableBrokerStats {
   std::uint64_t replayed = 0;    ///< records re-executed during open()
   std::uint64_t dedup_hits = 0;  ///< duplicate deliveries short-circuited
   std::uint64_t checkpoints = 0;
+};
+
+/// One member of a mixed journaled batch (DurableBroker::execute_batch):
+/// an admit of `*request`, or, with `request` null, a release of `flow`.
+struct DurableOp {
+  RequestId rid = kNoRequestId;
+  const FlowServiceRequest* request = nullptr;  ///< admit; null = release
+  FlowId flow = kInvalidFlowId;                 ///< release target
+
+  static DurableOp admit(RequestId rid, const FlowServiceRequest& request) {
+    return DurableOp{rid, &request, kInvalidFlowId};
+  }
+  static DurableOp release(RequestId rid, FlowId flow) {
+    return DurableOp{rid, nullptr, flow};
+  }
+  bool is_admit() const { return request != nullptr; }
 };
 
 class DurableBroker {
@@ -81,25 +100,45 @@ class DurableBroker {
   // first. Duplicate RequestIds replay the recorded decision.
   Result<PathId> provision_path(RequestId rid, const std::string& ingress,
                                 const std::string& egress);
+  /// One admit: execute_batch with a single member.
   Result<Reservation> request_service(RequestId rid,
                                       const FlowServiceRequest& request,
                                       Seconds now);
-  /// Batched admission with group commit. Decisions are identical to
-  /// calling request_service once per member in batch_grouped_order (the
-  /// broker executes the members one at a time in exactly that order), but
-  /// all FRESH members' kAdmit records are appended as ONE multi-record
-  /// frame with consecutive LSNs — one durable append (one flush on an
-  /// FsJournalFile) instead of one per member. Remembered rids replay
-  /// their recorded decision without re-executing or re-logging; a rid
-  /// repeated WITHIN the batch dedups against the earlier member's
-  /// decision. If the group append fails, every fresh member reports the
-  /// append error and nothing is remembered (the same unacknowledged-
-  /// mutation state a failed single append leaves). Results are indexed by
-  /// submission position.
+  /// A batch of admits: execute_batch over one admit run, so the members
+  /// execute in batch_grouped_order and commit as ONE append. Results are
+  /// indexed by submission position.
   std::vector<Result<Reservation>> request_service_batch(
       std::span<const RequestId> rids,
       std::span<const FlowServiceRequest> requests, Seconds now);
+  /// One release: execute_batch with a single member.
   Status release_service(RequestId rid, FlowId flow);
+  /// Mixed batch of admits and releases, committed as ONE append.
+  ///
+  /// Order: each maximal run of consecutive admits executes in
+  /// batch_grouped_order over that run, and each release executes in its
+  /// position. Decisions and state are identical to calling
+  /// request_service / release_service once per member in that order.
+  ///
+  /// Journal: every fresh member's record is framed in place into the
+  /// broker's reusable frame, at consecutive LSNs in execution order, and
+  /// the whole frame goes out as one JournalFile::append before the call
+  /// returns (one write(2) on an FsJournalFile, however many members).
+  /// The records are byte-identical to the per-member calls'.
+  ///
+  /// Dedup: a remembered rid replays its recorded decision without
+  /// executing or logging. A rid repeated WITHIN the batch replays the
+  /// earlier member's decision; if the earlier member was the other kind,
+  /// it gets the same kInvalidArgument as a reuse across batches.
+  ///
+  /// Failure: if the append fails, every fresh member reports the append
+  /// error and nothing is remembered (the unacknowledged-mutation state a
+  /// failed single append leaves). Auto-anchoring is checked once, after
+  /// the append.
+  ///
+  /// Results are indexed by position. A release's result is its Status,
+  /// or on success a Reservation whose only set field is `flow`.
+  std::vector<Result<Reservation>> execute_batch(
+      std::span<const DurableOp> ops, Seconds now);
   Result<Reservation> renegotiate_service(RequestId rid, FlowId flow,
                                           Seconds new_delay_req, Seconds now);
   Result<ClassId> define_class(RequestId rid, Seconds e2e_delay,
@@ -164,6 +203,12 @@ class DurableBroker {
   /// rid field for client ops.
   Status log_decision(RequestId rid, JournalOpKind kind,
                       const WireBuffer& request, const WireBuffer& outcome);
+  /// Execute one execute_batch member: replay a recorded decision, or run
+  /// it on the broker and frame its record into frame_.
+  void execute_member(const DurableOp& op, std::size_t idx, Seconds now,
+                      Result<Reservation>* result);
+  /// Auto-anchor once anchor_every records have accumulated (best effort).
+  void maybe_anchor();
   void remember(RequestId rid, JournalOpKind kind, WireBuffer outcome);
   /// Re-execute one tail record against the recovering broker and verify
   /// the recorded outcome byte-for-byte.
@@ -180,7 +225,25 @@ class DurableBroker {
   std::uint64_t records_since_anchor_ = 0;
   std::unordered_map<RequestId, Decision> window_;
   std::deque<RequestId> window_order_;  ///< FIFO eviction order
+  /// Decisions recovered by open(), exempt from FIFO eviction. The crash
+  /// before a restart can lose the acknowledgements of the last decisions
+  /// it journaled; their clients retry after a backoff, while the rest of
+  /// the load resumes at full speed and would otherwise push them out of
+  /// the window before the retry lands.
+  std::deque<RequestId> recovered_order_;
   DurableBrokerStats stats_;
+
+  // execute_batch working buffers, reused across calls so a steady batch
+  // stream does not allocate for framing or bookkeeping.
+  struct Fresh {
+    std::size_t idx = 0;  ///< position in the batch
+    JournalOpKind kind = JournalOpKind::kAdmit;
+    WireBuffer outcome;
+  };
+  JournalFrameWriter frame_;  ///< the group-commit frame
+  std::vector<Fresh> fresh_;  ///< members executed, in execution order
+  std::unordered_map<RequestId, std::size_t> batch_rids_;  ///< -> fresh_
+  std::vector<const FlowServiceRequest*> run_;  ///< current admit run
 };
 
 }  // namespace qosbb

@@ -1,7 +1,12 @@
 #include "core/journal.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <array>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 namespace qosbb {
@@ -71,36 +76,39 @@ std::uint32_t journal_crc32(const std::uint8_t* data, std::size_t n) {
   return c ^ 0xFFFFFFFFu;
 }
 
-WireBuffer frame_journal_record(std::uint64_t lsn, JournalOpKind kind,
-                                const WireBuffer& payload) {
-  WireWriter region;
-  region.u64(lsn);
-  region.u8(static_cast<std::uint8_t>(kind));
-  WireBuffer out;
-  out.reserve(kRecordHeaderSize + kRegionPrefixSize + payload.size());
-  const std::uint32_t len =
-      static_cast<std::uint32_t>(kRegionPrefixSize + payload.size());
-  WireBuffer region_bytes = region.take();
-  region_bytes.insert(region_bytes.end(), payload.begin(), payload.end());
-  WireWriter head;
-  head.u32(len);
-  head.u32(~len);
-  // CRC spans the full region: lsn + kind + payload.
-  head.u32(journal_crc32(region_bytes.data(), region_bytes.size()));
-  out = head.take();
-  out.insert(out.end(), region_bytes.begin(), region_bytes.end());
-  return out;
+WireWriter& JournalFrameWriter::open_record(std::uint64_t lsn,
+                                            JournalOpKind kind) {
+  QOSBB_REQUIRE(!open_, "JournalFrameWriter: record already open");
+  open_ = true;
+  open_at_ = w_.buffer().size();
+  // len, ~len and crc are patched by close_record.
+  w_.u32(0);
+  w_.u32(0);
+  w_.u32(0);
+  w_.u64(lsn);
+  w_.u8(static_cast<std::uint8_t>(kind));
+  return w_;
 }
 
-WireBuffer frame_journal_group(std::uint64_t first_lsn, JournalOpKind kind,
-                               std::span<const WireBuffer> payloads) {
-  WireBuffer out;
-  std::uint64_t lsn = first_lsn;
-  for (const WireBuffer& payload : payloads) {
-    const WireBuffer rec = frame_journal_record(lsn++, kind, payload);
-    out.insert(out.end(), rec.begin(), rec.end());
-  }
-  return out;
+void JournalFrameWriter::close_record() {
+  QOSBB_REQUIRE(open_, "JournalFrameWriter: no open record");
+  open_ = false;
+  const std::size_t region_at = open_at_ + kRecordHeaderSize;
+  const std::uint32_t len =
+      static_cast<std::uint32_t>(w_.buffer().size() - region_at);
+  w_.patch_u32(open_at_, len);
+  w_.patch_u32(open_at_ + 4, ~len);
+  // CRC spans the full region: lsn + kind + payload.
+  w_.patch_u32(open_at_ + 8,
+               journal_crc32(w_.buffer().data() + region_at, len));
+}
+
+WireBuffer frame_journal_record(std::uint64_t lsn, JournalOpKind kind,
+                                const WireBuffer& payload) {
+  JournalFrameWriter frame;
+  frame.open_record(lsn, kind).raw(payload);
+  frame.close_record();
+  return frame.take();
 }
 
 JournalScan scan_journal(const WireBuffer& bytes) {
@@ -180,18 +188,33 @@ Status MemoryJournalFile::replace(const WireBuffer& bytes) {
 
 // ---- FsJournalFile ----
 
+FsJournalFile::~FsJournalFile() { close_fd(); }
+
+void FsJournalFile::close_fd() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
+
 Status FsJournalFile::append(const WireBuffer& bytes) {
-  std::FILE* f = std::fopen(path_.c_str(), "ab");
-  if (f == nullptr) {
-    return Status::internal("journal: cannot open " + path_ +
-                            " for append");
+  if (fd_ < 0) {
+    fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
+                 0666);
+    if (fd_ < 0) {
+      return Status::internal("journal: cannot open " + path_ +
+                              " for append: " + std::strerror(errno));
+    }
   }
-  const std::size_t written =
-      bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != bytes.size() || !flushed) {
-    return Status::internal("journal: short write to " + path_);
+  const std::uint8_t* p = bytes.data();
+  std::size_t left = bytes.size();
+  while (left > 0) {
+    const ssize_t n = ::write(fd_, p, left);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::internal("journal: write to " + path_ + " failed: " +
+                              std::strerror(errno));
+    }
+    p += n;
+    left -= static_cast<std::size_t>(n);
   }
   return Status::ok();
 }
@@ -229,6 +252,9 @@ Status FsJournalFile::replace(const WireBuffer& bytes) {
     std::remove(tmp.c_str());
     return Status::internal("journal: rename failed for " + path_);
   }
+  // The descriptor names the replaced file; the next append opens the new
+  // one.
+  close_fd();
   return Status::ok();
 }
 

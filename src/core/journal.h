@@ -36,7 +36,6 @@
 #define QOSBB_CORE_JOURNAL_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -72,8 +71,9 @@ struct JournalRecord {
 
 /// Storage abstraction under the journal. Implementations must make
 /// `append` durable before returning (the broker acknowledges a request
-/// only after its record's append returns OK) and `replace` atomic (an
-/// anchor must never leave a half-truncated log behind).
+/// only after its record's append returns OK; FsJournalFile states what
+/// "durable" means on a file) and `replace` atomic (an anchor must never
+/// leave a half-truncated log behind).
 class JournalFile {
  public:
   virtual ~JournalFile() = default;
@@ -100,11 +100,26 @@ class MemoryJournalFile : public JournalFile {
   WireBuffer data_;
 };
 
-/// File-system journal backing: append+flush per record; `replace` goes
-/// through a temp file + rename so an anchor is atomic at the fs level.
+/// File-system journal backing. The first `append` opens one
+/// O_WRONLY|O_APPEND|O_CLOEXEC descriptor and keeps it for the object's
+/// lifetime, so a commit costs one write(2) loop, not an open and a close.
+///
+/// Durability contract: `append` returns once write(2) has taken every
+/// byte. The bytes are then in the kernel's page cache and survive a crash
+/// of this process (SIGKILL included) but not a power loss: there is no
+/// fsync, before or after. `replace` writes a temp file and renames it over
+/// the path, so an anchor is atomic at the fs level; it then closes the
+/// descriptor, which still names the old, unlinked file, and the next
+/// `append` opens the new one.
+///
+/// Single writer per path: at most one FsJournalFile may append to a path
+/// at a time. A second writer's descriptor would outlive the first one's
+/// `replace` on the unlinked file, and everything it appended would be
+/// lost. `read_all` opens the path afresh and is safe from any object.
 class FsJournalFile : public JournalFile {
  public:
   explicit FsJournalFile(std::string path) : path_(std::move(path)) {}
+  ~FsJournalFile() override;
 
   Status append(const WireBuffer& bytes) override;
   Result<WireBuffer> read_all() const override;
@@ -113,7 +128,40 @@ class FsJournalFile : public JournalFile {
   const std::string& path() const { return path_; }
 
  private:
+  void close_fd();
+
   std::string path_;
+  int fd_ = -1;  ///< append descriptor, opened lazily
+};
+
+/// Builds journal records in place, back to back, in one reusable buffer.
+/// `open_record` reserves the 12-byte header and writes the LSN and kind;
+/// the caller writes the payload through the returned writer; and
+/// `close_record` patches len, ~len and the CRC over the finished region.
+/// `clear` keeps the capacity, so a long-lived frame (the durable broker's
+/// group-commit frame) stops allocating once it has grown.
+///
+/// A multi-record frame needs no new recovery case: every member keeps its
+/// own length/CRC framing, so a crash that cuts the frame anywhere yields
+/// the clean member prefix plus at most one torn member (dropped as the
+/// usual torn tail) — all-or-prefix at record granularity, never a
+/// half-applied member.
+class JournalFrameWriter {
+ public:
+  WireWriter& open_record(std::uint64_t lsn, JournalOpKind kind);
+  void close_record();
+  void clear() {
+    w_.clear();
+    open_ = false;
+  }
+
+  const WireBuffer& bytes() const { return w_.buffer(); }
+  WireBuffer take() { return w_.take(); }
+
+ private:
+  WireWriter w_;
+  std::size_t open_at_ = 0;
+  bool open_ = false;
 };
 
 /// CRC-32 (ISO-HDLC polynomial, reflected — the zlib/PNG CRC).
@@ -122,17 +170,6 @@ std::uint32_t journal_crc32(const std::uint8_t* data, std::size_t n);
 /// Frame one record (see the layout above). Infallible.
 WireBuffer frame_journal_record(std::uint64_t lsn, JournalOpKind kind,
                                 const WireBuffer& payload);
-
-/// Frame a GROUP of payloads as one contiguous multi-record frame: each
-/// member is individually framed (consecutive LSNs starting at first_lsn)
-/// and the frames are concatenated. One durable append of the result
-/// commits the whole group with a single flush. Recovery needs no new
-/// cases: every member keeps its own length/CRC framing, so a crash that
-/// cuts the frame anywhere yields the clean member-record prefix plus at
-/// most one torn member (dropped as the usual torn tail) — all-or-prefix
-/// at record granularity, never a half-applied member.
-WireBuffer frame_journal_group(std::uint64_t first_lsn, JournalOpKind kind,
-                               std::span<const WireBuffer> payloads);
 
 struct JournalScan {
   std::vector<JournalRecord> records;  ///< the valid prefix, in LSN order

@@ -71,6 +71,10 @@ struct FlowServiceRequest {
 /// batched and sequential runs bit-identical. (Defined in broker.cc.)
 std::vector<std::size_t> batch_grouped_order(
     std::span<const FlowServiceRequest> requests);
+/// The same order over requests held by pointer (an admit run inside a
+/// mixed journaled batch, whose requests are not contiguous).
+std::vector<std::size_t> batch_grouped_order(
+    std::span<const FlowServiceRequest* const> requests);
 
 /// Reservation push (BB -> ingress edge conditioner): configure/reconfigure
 /// the conditioner for this (macro)flow.

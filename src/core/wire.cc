@@ -118,6 +118,18 @@ void WireWriter::bytes(const WireBuffer& v) {
   buf_.insert(buf_.end(), v.begin(), v.end());
 }
 
+void WireWriter::raw(std::span<const std::uint8_t> v) {
+  buf_.insert(buf_.end(), v.begin(), v.end());
+}
+
+void WireWriter::patch_u32(std::size_t offset, std::uint32_t v) {
+  QOSBB_REQUIRE(offset + 4 <= buf_.size(), "WireWriter::patch_u32 past end");
+  for (int i = 0; i < 4; ++i) {
+    buf_[offset + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
 // ---- WireReader ----
 
 Status WireReader::short_read(const char* what) const {
@@ -187,7 +199,10 @@ Result<std::string> WireReader::str() {
     pos_ -= 1;  // un-read the length prefix: a retry re-decodes the field
     return short_read("string");
   }
-  std::string s(reinterpret_cast<const char*>(&buf_[pos_]), n.value());
+  // buf_.data() + pos_, not &buf_[pos_]: an empty string that ends the
+  // message sits at pos_ == size(), where operator[] is out of range.
+  std::string s(reinterpret_cast<const char*>(buf_.data() + pos_),
+                n.value());
   pos_ += n.value();
   return s;
 }

@@ -18,6 +18,7 @@
 #define QOSBB_CORE_WIRE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -279,6 +280,14 @@ class WireWriter {
   /// Length-prefixed (u32) raw byte block (frame embedding, e.g. a snapshot
   /// inside a journal anchor record).
   void bytes(const WireBuffer& v);
+  /// Unprefixed bytes, appended verbatim.
+  void raw(std::span<const std::uint8_t> v);
+  /// Overwrite four already-written bytes at `offset` with `v` (header
+  /// fields that are only known once the bytes after them are written).
+  void patch_u32(std::size_t offset, std::uint32_t v);
+  /// Drop the contents and keep the capacity, so a long-lived writer
+  /// encodes without allocating once it has grown.
+  void clear() { buf_.clear(); }
 
   const WireBuffer& buffer() const { return buf_; }
   WireBuffer take() { return std::move(buf_); }

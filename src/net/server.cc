@@ -25,7 +25,9 @@ namespace {
 /// event in the same batch dangling.
 constexpr int kMaxEpollEvents = 128;
 constexpr std::size_t kReadChunk = 64u << 10;
-/// Largest admit run dispatched as one submit_batch call.
+/// Largest dispatch slab: an admit run for one submit_batch call in
+/// memory; admits and teardowns for one execute_batch call (one journal
+/// append) journaled.
 constexpr std::size_t kMaxAdmitBatch = 256;
 
 Status errno_status(const char* what) {
@@ -528,7 +530,7 @@ void QosbbServer::decode_frames(Conn& c) {
 }
 
 void QosbbServer::dispatch_pending(Conn& c) {
-  std::vector<PendingAdmit> batch;
+  std::vector<SlabOp> slab;
   const auto deadline = std::chrono::milliseconds(
       options_.request_deadline_ms > 0 ? options_.request_deadline_ms : 0);
   while (!c.pending.empty() && !c.close_after_flush) {
@@ -542,9 +544,9 @@ void QosbbServer::dispatch_pending(Conn& c) {
     PendingOp op = std::move(c.pending.front());
     c.pending.pop_front();
     if (op.shed != ShedReason::kNone) {
-      // Flush the accumulated admit run first: replies are correlated by
+      // Flush the accumulated slab first: replies are correlated by
       // POSITION, so the shed notice must not overtake earlier admits.
-      dispatch_admits(c, batch);
+      dispatch_slab(c, slab);
       queue_overloaded(c, op.shed);
       continue;
     }
@@ -561,70 +563,87 @@ void QosbbServer::dispatch_pending(Conn& c) {
       // has already given up on. Shed it in its positional slot.
       ++stats_.shed_deadline;
       last_budget_shed_ = Clock::now();
-      dispatch_admits(c, batch);  // positional order, as above
+      dispatch_slab(c, slab);  // positional order, as above
       queue_overloaded(c, ShedReason::kDeadline);
       continue;
     }
     switch (op.kind) {
       case PendingOp::Kind::kAdmit:
-        batch.push_back(PendingAdmit{std::move(op.request), op.rid});
-        // Bound both submit_batch latency and the reply bytes a single
-        // run can queue before the watermark check at the loop top sees
-        // them: dispatch in slabs instead of one maximal run.
-        if (batch.size() >= kMaxAdmitBatch) dispatch_admits(c, batch);
+        slab.push_back(SlabOp{std::move(op.request), op.rid});
+        // Bound both the backend call's latency and the reply bytes a
+        // single slab can queue before the watermark check at the loop top
+        // sees them: dispatch in slabs instead of one maximal run.
+        if (slab.size() >= kMaxAdmitBatch) dispatch_slab(c, slab);
         continue;
       case PendingOp::Kind::kTeardown:
-        // A teardown splits the admit run: per-connection order of
-        // operations is part of the protocol contract.
-        dispatch_admits(c, batch);
-        dispatch_teardown(c, op.flow, op.rid);
+        // Per-connection order of operations is part of the protocol
+        // contract. Journaled, a teardown joins the slab: execute_batch
+        // runs it in its position and the slab still commits as one
+        // append. In memory it splits the admit run, because submit_batch
+        // takes admits only.
+        if (front_ != nullptr) dispatch_slab(c, slab);
+        slab.push_back(SlabOp{{}, op.rid, op.flow, true});
+        if (front_ != nullptr || slab.size() >= kMaxAdmitBatch) {
+          dispatch_slab(c, slab);
+        }
         continue;
       case PendingOp::Kind::kHealth:
-        dispatch_admits(c, batch);
+        dispatch_slab(c, slab);
         ++stats_.health_requests;
         queue_reply(c, encode(make_health_reply()));
         continue;
       case PendingOp::Kind::kDigest:
-        dispatch_admits(c, batch);
+        dispatch_slab(c, slab);
         dispatch_digest(c);
         continue;
       case PendingOp::Kind::kPrepare:
         // Federation ops split admit runs like teardowns do: their member
         // sub-operations must execute in their positional slot.
-        dispatch_admits(c, batch);
+        dispatch_slab(c, slab);
         dispatch_prepare(c, op.prepare);
         continue;
       case PendingOp::Kind::kCommit:
-        dispatch_admits(c, batch);
+        dispatch_slab(c, slab);
         dispatch_commit(c, op.commit);
         continue;
       case PendingOp::Kind::kAbort:
-        dispatch_admits(c, batch);
+        dispatch_slab(c, slab);
         dispatch_abort(c, op.abort);
         continue;
       case PendingOp::Kind::kFedDigest:
-        dispatch_admits(c, batch);
+        dispatch_slab(c, slab);
         dispatch_fed_digest(c);
         continue;
       case PendingOp::Kind::kError:
-        dispatch_admits(c, batch);
+        dispatch_slab(c, slab);
         queue_reply(c, encode(RejectReply{RejectReason::kPolicy,
                                           "protocol error: " + op.detail}));
         c.close_after_flush = true;
         continue;
     }
   }
-  dispatch_admits(c, batch);
+  dispatch_slab(c, slab);
 }
 
-std::vector<QosbbServer::AdmitResult> QosbbServer::backend_admit(
-    std::span<const PendingAdmit> batch) {
+std::vector<QosbbServer::AdmitResult> QosbbServer::backend_execute(
+    std::span<const SlabOp> slab) {
   std::vector<AdmitResult> out;
-  out.reserve(batch.size());
-  std::vector<FlowServiceRequest> requests;
-  requests.reserve(batch.size());
-  for (const PendingAdmit& a : batch) requests.push_back(a.request);
+  out.reserve(slab.size());
   if (front_ != nullptr) {
+    // In memory a slab is one teardown or one admit run: dispatch_pending
+    // splits at every teardown, since submit_batch takes admits only.
+    if (slab.front().teardown) {
+      const Status s = front_->release_service(slab.front().flow);
+      AdmitResult r;
+      r.detail = s.message();
+      if (s.is_ok()) r.result = Reservation{};
+      else r.result = s;
+      out.push_back(std::move(r));
+      return out;
+    }
+    std::vector<FlowServiceRequest> requests;
+    requests.reserve(slab.size());
+    for (const SlabOp& a : slab) requests.push_back(a.request);
     std::vector<FrontOutcome> outcomes = front_->submit_batch(requests);
     for (FrontOutcome& o : outcomes) {
       AdmitResult r;
@@ -640,12 +659,13 @@ std::vector<QosbbServer::AdmitResult> QosbbServer::backend_admit(
   // request re-sends the same rid and the dedup window replays the recorded
   // decision (exactly-once across reconnects and server restarts).
   // kNoRequestId members are journaled but never deduplicated.
-  std::vector<RequestId> rids;
-  rids.reserve(batch.size());
-  for (const PendingAdmit& a : batch) rids.push_back(a.rid);
-  std::vector<Result<Reservation>> results =
-      durable_->request_service_batch(rids, requests, 0.0);
-  for (Result<Reservation>& res : results) {
+  std::vector<DurableOp> ops;
+  ops.reserve(slab.size());
+  for (const SlabOp& op : slab) {
+    ops.push_back(op.teardown ? DurableOp::release(op.rid, op.flow)
+                              : DurableOp::admit(op.rid, op.request));
+  }
+  for (Result<Reservation>& res : durable_->execute_batch(ops, 0.0)) {
     AdmitResult r;
     r.detail = res.status().message();
     r.result = std::move(res);
@@ -659,29 +679,59 @@ Status QosbbServer::backend_release(FlowId flow, RequestId rid) {
   return durable_->release_service(rid, flow);
 }
 
-void QosbbServer::dispatch_admits(Conn& c, std::vector<PendingAdmit>& batch) {
-  if (batch.empty()) return;
-  ++stats_.batches;
-  stats_.batched_requests += batch.size();
-  std::vector<AdmitResult> outcomes = backend_admit(batch);
-  if (options_.record_ops) {
-    // Library-level execution order: submit_batch defines its semantics as
-    // one-at-a-time execution in batch_grouped_order.
-    std::vector<FlowServiceRequest> requests;
-    requests.reserve(batch.size());
-    for (const PendingAdmit& a : batch) requests.push_back(a.request);
-    for (std::size_t idx : batch_grouped_order(requests)) {
-      RecordedOp op;
-      op.kind = RecordedOp::Kind::kAdmit;
-      op.request = requests[idx];
-      op.admitted = outcomes[idx].result.is_ok();
-      op.assigned_flow =
-          op.admitted ? outcomes[idx].result.value().flow : kInvalidFlowId;
-      ops_.push_back(std::move(op));
+void QosbbServer::dispatch_slab(Conn& c, std::vector<SlabOp>& slab) {
+  if (slab.empty()) return;
+  std::vector<AdmitResult> outcomes = backend_execute(slab);
+  // Walk the slab's admit runs (in memory a slab is one run or one
+  // teardown): the batch counters count runs, and record_ops logs the
+  // library-level execution order — each run in batch_grouped_order, the
+  // order submit_batch and execute_batch define their semantics in.
+  std::vector<const FlowServiceRequest*> run;
+  for (std::size_t i = 0; i < slab.size();) {
+    if (slab[i].teardown) {
+      if (options_.record_ops && outcomes[i].result.is_ok()) {
+        RecordedOp op;
+        op.kind = RecordedOp::Kind::kRelease;
+        op.flow = slab[i].flow;
+        ops_.push_back(std::move(op));
+      }
+      ++i;
+      continue;
     }
+    run.clear();
+    for (std::size_t j = i; j < slab.size() && !slab[j].teardown; ++j) {
+      run.push_back(&slab[j].request);
+    }
+    ++stats_.batches;
+    stats_.batched_requests += run.size();
+    if (options_.record_ops) {
+      for (const std::size_t k : batch_grouped_order(run)) {
+        const AdmitResult& r = outcomes[i + k];
+        RecordedOp op;
+        op.kind = RecordedOp::Kind::kAdmit;
+        op.request = *run[k];
+        op.admitted = r.result.is_ok();
+        op.assigned_flow =
+            op.admitted ? r.result.value().flow : kInvalidFlowId;
+        ops_.push_back(std::move(op));
+      }
+    }
+    i += run.size();
   }
-  for (const AdmitResult& r : outcomes) {
-    if (r.result.is_ok()) {
+  for (std::size_t i = 0; i < slab.size(); ++i) {
+    const AdmitResult& r = outcomes[i];
+    if (slab[i].teardown) {
+      if (r.result.is_ok()) {
+        ++stats_.teardowns;
+        // Generic status ack: a RejectReply whose reason is kNone means
+        // "operation succeeded" (teardowns have no richer reply message).
+        queue_reply(c, encode(RejectReply{RejectReason::kNone, "torn-down"}));
+      } else {
+        ++stats_.teardown_failures;
+        queue_reply(c, encode(RejectReply{RejectReason::kPolicy,
+                                          r.result.status().message()}));
+      }
+    } else if (r.result.is_ok()) {
       ++stats_.admits;
       queue_reply(c, encode(r.result.value()));
     } else {
@@ -689,26 +739,7 @@ void QosbbServer::dispatch_admits(Conn& c, std::vector<PendingAdmit>& batch) {
       queue_reply(c, encode(RejectReply{r.reason, r.detail}));
     }
   }
-  batch.clear();
-}
-
-void QosbbServer::dispatch_teardown(Conn& c, FlowId flow, RequestId rid) {
-  const Status s = backend_release(flow, rid);
-  if (s.is_ok()) {
-    ++stats_.teardowns;
-    if (options_.record_ops) {
-      RecordedOp op;
-      op.kind = RecordedOp::Kind::kRelease;
-      op.flow = flow;
-      ops_.push_back(std::move(op));
-    }
-    // Generic status ack: a RejectReply whose reason is kNone means
-    // "operation succeeded" (teardowns have no richer reply message).
-    queue_reply(c, encode(RejectReply{RejectReason::kNone, "torn-down"}));
-  } else {
-    ++stats_.teardown_failures;
-    queue_reply(c, encode(RejectReply{RejectReason::kPolicy, s.message()}));
-  }
+  slab.clear();
 }
 
 HealthReply QosbbServer::make_health_reply() {
@@ -748,8 +779,8 @@ void QosbbServer::dispatch_digest(Conn& c) {
 
 QosbbServer::AdmitResult QosbbServer::fed_admit(
     const FlowServiceRequest& request, RequestId rid) {
-  PendingAdmit admit{request, rid};
-  std::vector<AdmitResult> out = backend_admit(std::span(&admit, 1));
+  const SlabOp admit{request, rid};
+  std::vector<AdmitResult> out = backend_execute(std::span(&admit, 1));
   if (options_.record_ops) {
     RecordedOp op;
     op.kind = RecordedOp::Kind::kAdmit;

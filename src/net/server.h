@@ -13,7 +13,10 @@
 // FlowServiceRequests is admitted through a single
 // ConcurrentBrokerFront::submit_batch call (one snapshot capture + one
 // group OCC commit instead of per-request work). Teardowns split runs, so
-// per-connection operation order is preserved exactly.
+// per-connection operation order is preserved exactly. Against a
+// DurableBroker, admits and teardowns instead share one slab of at most
+// 256 ops, executed by one DurableBroker::execute_batch call in position
+// order: the whole slab commits as ONE journal append (group commit).
 //
 // Backpressure: replies accumulate in a per-connection write buffer that
 // is flushed opportunistically and on EPOLLOUT. When a slow reader's
@@ -123,7 +126,7 @@ struct ServerStats {
   std::uint64_t teardown_failures = 0;
   /// Corrupt frames / undecodable messages; each closes its connection.
   std::uint64_t decode_errors = 0;
-  std::uint64_t batches = 0;           ///< submit_batch calls
+  std::uint64_t batches = 0;           ///< admit runs dispatched
   std::uint64_t batched_requests = 0;  ///< admit requests inside them
   std::uint64_t backpressure_pauses = 0;
   // Overload-control counters (see the header comment).
@@ -222,9 +225,13 @@ class QosbbServer {
     Clock::time_point enqueued;
   };
 
-  struct PendingAdmit {
-    FlowServiceRequest request;
+  /// One member of a dispatch slab: an admit, or a teardown. In memory a
+  /// slab is one admit run or one teardown; journaled it mixes both.
+  struct SlabOp {
+    FlowServiceRequest request;    ///< admit
     RequestId rid = kNoRequestId;
+    FlowId flow = kInvalidFlowId;  ///< teardown target
+    bool teardown = false;
   };
 
   void accept_ready();
@@ -240,9 +247,9 @@ class QosbbServer {
   void dispatch_pending(Conn& c);
   /// dispatch_pending + flush + backpressure-resume + close bookkeeping.
   void service_conn(Conn& c);
-  /// Execute one run of consecutive admits as one batch.
-  void dispatch_admits(Conn& c, std::vector<PendingAdmit>& batch);
-  void dispatch_teardown(Conn& c, FlowId flow, RequestId rid);
+  /// Execute one slab through the backend and queue its replies in
+  /// position order.
+  void dispatch_slab(Conn& c, std::vector<SlabOp>& slab);
   void dispatch_digest(Conn& c);
   void dispatch_prepare(Conn& c, const PrepareSegment& p);
   void dispatch_commit(Conn& c, const CommitSegment& m);
@@ -269,7 +276,10 @@ class QosbbServer {
     RejectReason reason = RejectReason::kNone;
     std::string detail;
   };
-  std::vector<AdmitResult> backend_admit(std::span<const PendingAdmit> batch);
+  /// One slab: one submit_batch (an admit run) or one release_service (a
+  /// teardown) in memory; one execute_batch, so one journal append,
+  /// journaled. Results are indexed by slab position.
+  std::vector<AdmitResult> backend_execute(std::span<const SlabOp> slab);
   Status backend_release(FlowId flow, RequestId rid);
   /// One federation sub-admission (segment or contingency flow) through the
   /// backend, recorded like a client admit when record_ops is on.

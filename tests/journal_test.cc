@@ -7,21 +7,40 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/durable_broker.h"
 #include "core/journal.h"
+#include "net/server.h"
 #include "tools/fuzz_harness.h"
 #include "topo/fig8.h"
 
 namespace qosbb {
 namespace {
 
+using fuzz::batch_execution_order;
+using fuzz::digest_of;
 using fuzz::FaultyJournalFile;
+using fuzz::run_member;
+using fuzz::StateDigest;
 
 WireBuffer payload_bytes(std::initializer_list<std::uint8_t> bytes) {
   return WireBuffer(bytes);
+}
+
+/// A group-commit frame: the members framed back to back, in place, at
+/// consecutive LSNs — how DurableBroker::execute_batch builds its frame.
+WireBuffer group_frame(std::uint64_t first_lsn, JournalOpKind kind,
+                       const std::vector<WireBuffer>& payloads) {
+  JournalFrameWriter frame;
+  for (const WireBuffer& payload : payloads) {
+    frame.open_record(first_lsn++, kind).raw(payload);
+    frame.close_record();
+  }
+  return frame.take();
 }
 
 // ---- Framing + scanning ----
@@ -79,7 +98,7 @@ TEST(JournalFraming, TornTailIsCleanNotCorrupt) {
   }
 }
 
-// A multi-record group frame (frame_journal_group) cut at EVERY byte must
+// A multi-record group frame cut at EVERY byte must
 // scan as all-or-prefix: the complete member records before the cut, plus
 // at most one torn member dropped as the usual torn tail — never an error,
 // never a half-parsed member.
@@ -90,7 +109,7 @@ TEST(JournalFraming, GroupFrameEveryByteCutIsAllOrPrefix) {
                                             payload_bytes({}),
                                             payload_bytes({4, 5})};
   const WireBuffer group =
-      frame_journal_group(2, JournalOpKind::kAdmit, payloads);
+      group_frame(2, JournalOpKind::kAdmit, payloads);
   WireBuffer image = head;
   image.insert(image.end(), group.begin(), group.end());
 
@@ -137,7 +156,7 @@ TEST(JournalFraming, GroupFrameBitFlipIsDataLoss) {
   const std::vector<WireBuffer> payloads = {payload_bytes({1, 2}),
                                             payload_bytes({3})};
   const WireBuffer group =
-      frame_journal_group(1, JournalOpKind::kAdmit, payloads);
+      group_frame(1, JournalOpKind::kAdmit, payloads);
   for (std::size_t bit = 0; bit < group.size() * 8; ++bit) {
     WireBuffer bad = group;
     bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
@@ -212,6 +231,159 @@ TEST(JournalFile, FsBackingRoundTrips) {
   ASSERT_TRUE(all.is_ok());
   EXPECT_EQ(all.value(), r1);
   std::remove(path.c_str());
+}
+
+// One descriptor per FsJournalFile: replace() renames a fresh file over
+// the path and drops the descriptor, so the next append must land in the
+// renamed file, not in the unlinked one the old descriptor still names.
+TEST(JournalFile, FsAppendAfterReplaceLandsInRenamedFile) {
+  const std::string path = ::testing::TempDir() + "/qosbb_journal_swap.bin";
+  std::remove(path.c_str());
+  FsJournalFile file(path);
+  const WireBuffer r1 =
+      frame_journal_record(1, JournalOpKind::kAdmit, payload_bytes({1}));
+  const WireBuffer r2 =
+      frame_journal_record(2, JournalOpKind::kAnchor, payload_bytes({2, 2}));
+  const WireBuffer r3 =
+      frame_journal_record(3, JournalOpKind::kRelease, payload_bytes({3}));
+  ASSERT_TRUE(file.append(r1).is_ok());
+  ASSERT_TRUE(file.replace(r2).is_ok());
+  ASSERT_TRUE(file.append(r3).is_ok());
+
+  WireBuffer expected = r2;
+  expected.insert(expected.end(), r3.begin(), r3.end());
+  auto all = file.read_all();
+  ASSERT_TRUE(all.is_ok());
+  EXPECT_EQ(all.value(), expected);
+  // Another object reading the path sees the same bytes.
+  auto other = FsJournalFile(path).read_all();
+  ASSERT_TRUE(other.is_ok());
+  EXPECT_EQ(other.value(), expected);
+  const JournalScan scan = scan_journal(all.value());
+  ASSERT_TRUE(scan.error.is_ok());
+  EXPECT_FALSE(scan.torn_tail);
+  ASSERT_EQ(scan.records.size(), 2u);
+  EXPECT_EQ(scan.records[0].lsn, 2u);
+  EXPECT_EQ(scan.records[1].kind, JournalOpKind::kRelease);
+  std::remove(path.c_str());
+}
+
+class DurableFsJournalTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "/qosbb_durable_fs.bin";
+    std::remove(path_.c_str());
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  std::unique_ptr<DurableBroker> open(FsJournalFile& file) {
+    auto db = DurableBroker::open(spec_, opts_, file);
+    EXPECT_TRUE(db.is_ok()) << db.status().to_string();
+    return db.is_ok() ? std::move(db.value()) : nullptr;
+  }
+  std::uint32_t digest(const DurableBroker& db) {
+    auto d = broker_state_digest(db.broker());
+    EXPECT_TRUE(d.is_ok());
+    return d.is_ok() ? d.value() : 0;
+  }
+  static FlowServiceRequest request() {
+    return {TrafficProfile::make(60000, 50000, 100000, 12000), 2.19, "I2",
+            "E2", 0};
+  }
+  /// Append bytes behind the broker's back: a crash mid-append.
+  void append_raw(const WireBuffer& bytes) {
+    std::FILE* f = std::fopen(path_.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
+
+  DomainSpec spec_ = fig8_topology(Fig8Setting::kMixed);
+  BrokerOptions opts_;
+  std::string path_;
+};
+
+// The broker's descriptor survives its own anchors (replace reopens on the
+// next append), and the torn-tail truncate that open() performs through
+// replace() is followed by a clean append, not one behind the torn bytes.
+TEST_F(DurableFsJournalTest, ReopensAfterAnchorAndAfterTornTailTruncate) {
+  std::uint32_t live = 0;
+  std::uint64_t lsn = 0;
+  {
+    FsJournalFile file(path_);
+    auto db = open(file);
+    ASSERT_NE(db, nullptr);
+    ASSERT_TRUE(db->provision_path(1, "I2", "E2").is_ok());
+    ASSERT_TRUE(db->request_service(2, request(), 0.0).is_ok());
+    ASSERT_TRUE(db->checkpoint().is_ok());
+    ASSERT_TRUE(db->request_service(3, request(), 1.0).is_ok());
+    live = digest(*db);
+    lsn = db->next_lsn();
+  }
+  WireBuffer torn = frame_journal_record(lsn, JournalOpKind::kRelease,
+                                         payload_bytes({1, 2, 3, 4}));
+  torn.resize(torn.size() - 3);
+  append_raw(torn);
+
+  FlowId third = kInvalidFlowId;
+  {
+    FsJournalFile file(path_);
+    auto db = open(file);
+    ASSERT_NE(db, nullptr);
+    EXPECT_EQ(db->next_lsn(), lsn);
+    EXPECT_EQ(digest(*db), live);
+    auto r = db->request_service(4, request(), 2.0);
+    ASSERT_TRUE(r.is_ok());
+    third = r.value().flow;
+    live = digest(*db);
+    lsn = db->next_lsn();
+  }
+  auto image = FsJournalFile(path_).read_all();
+  ASSERT_TRUE(image.is_ok());
+  const JournalScan scan = scan_journal(image.value());
+  ASSERT_TRUE(scan.error.is_ok()) << scan.error.to_string();
+  EXPECT_FALSE(scan.torn_tail);
+  ASSERT_EQ(scan.records.size(), 3u);  // anchor + admit + the new admit
+  EXPECT_EQ(scan.records.front().kind, JournalOpKind::kAnchor);
+
+  FsJournalFile file(path_);
+  auto db = open(file);
+  ASSERT_NE(db, nullptr);
+  EXPECT_EQ(db->next_lsn(), lsn);
+  EXPECT_EQ(digest(*db), live);
+  EXPECT_TRUE(db->broker().flows().get(third).is_ok());
+}
+
+// Recovery only reads (and at most truncates a torn tail once): two
+// brokers opened back to back on the same path rebuild the same state.
+TEST_F(DurableFsJournalTest, BackToBackOpensRecoverTheSameState) {
+  std::uint32_t live = 0;
+  std::uint64_t lsn = 0;
+  {
+    FsJournalFile file(path_);
+    auto db = open(file);
+    ASSERT_NE(db, nullptr);
+    ASSERT_TRUE(db->provision_path(1, "I2", "E2").is_ok());
+    auto a = db->request_service(2, request(), 0.0);
+    ASSERT_TRUE(a.is_ok());
+    ASSERT_TRUE(db->request_service(3, request(), 1.0).is_ok());
+    ASSERT_TRUE(db->release_service(4, a.value().flow).is_ok());
+    live = digest(*db);
+    lsn = db->next_lsn();
+  }
+  append_raw(payload_bytes({9, 9, 9}));  // torn header
+
+  FsJournalFile first_file(path_);
+  auto first = open(first_file);
+  FsJournalFile second_file(path_);
+  auto second = open(second_file);
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(first->next_lsn(), lsn);
+  EXPECT_EQ(second->next_lsn(), lsn);
+  EXPECT_EQ(digest(*first), live);
+  EXPECT_EQ(digest(*second), live);
+  EXPECT_TRUE(second->remembers(4));
 }
 
 // ---- DurableBroker recovery + idempotency ----
@@ -309,6 +481,44 @@ TEST_F(DurableBrokerTest, DedupWindowEvictsFifo) {
   EXPECT_FALSE(db->remembers(1));  // evicted
   EXPECT_TRUE(db->remembers(2));
   EXPECT_TRUE(db->remembers(3));
+}
+
+// A crash can lose the acknowledgements of the last decisions it journaled,
+// and their clients retry only after a backoff. The decisions a restart
+// recovers therefore stay remembered however many new decisions follow.
+TEST_F(DurableBrokerTest, RecoveredDecisionsOutliveTheFifoWindow) {
+  DurableBrokerOptions dopts;
+  dopts.dedup_window = 2;
+  FlowId first = kInvalidFlowId;
+  {
+    auto db = open(dopts);
+    ASSERT_TRUE(db->provision_path(1, "I2", "E2").is_ok());
+    auto r = db->request_service(2, probe_request(), 0.0);
+    ASSERT_TRUE(r.is_ok());
+    first = r.value().flow;
+    ASSERT_TRUE(db->release_service(3, first).is_ok());
+  }
+  auto db = open(dopts);
+  EXPECT_FALSE(db->remembers(1));  // evicted before the crash
+  for (RequestId rid = 4; rid < 8; ++rid) {
+    ASSERT_TRUE(db->request_service(rid, probe_request(), 1.0).is_ok());
+  }
+  EXPECT_FALSE(db->remembers(4));  // ordinary FIFO eviction
+  EXPECT_TRUE(db->remembers(7));
+  // The late retries of the recovered admit and release replay.
+  const std::uint64_t lsn = db->next_lsn();
+  auto retry = db->request_service(2, probe_request(), 9.0);
+  ASSERT_TRUE(retry.is_ok());
+  EXPECT_EQ(retry.value().flow, first);
+  EXPECT_TRUE(db->release_service(3, first).is_ok());
+  EXPECT_EQ(db->next_lsn(), lsn);
+
+  // An anchor carries both sets; loading it keeps the newest dedup_window.
+  ASSERT_TRUE(db->checkpoint().is_ok());
+  auto again = open(dopts);
+  EXPECT_TRUE(again->remembers(6));
+  EXPECT_TRUE(again->remembers(7));
+  EXPECT_FALSE(again->remembers(2));
 }
 
 // Group commit: a batch of fresh admits is ONE durable append carrying one
@@ -561,6 +771,239 @@ TEST_F(DurableBrokerTest, ReplayDivergenceIsRefused) {
   ASSERT_FALSE(bad.is_ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(bad.status().to_string().find("divergence"), std::string::npos);
+}
+
+// ---- Mixed batches: admits and releases under one group commit ----
+
+/// A memory journal whose appends fail while `failing` is set.
+class FailingJournalFile : public MemoryJournalFile {
+ public:
+  Status append(const WireBuffer& bytes) override {
+    if (failing) return Status::internal("injected append failure");
+    return MemoryJournalFile::append(bytes);
+  }
+  bool failing = false;
+};
+
+class MixedBatchTest : public DurableBrokerTest {
+ protected:
+  MixedBatchTest() {
+    b_.ingress = "I1";
+    b_.egress = "E1";
+    tight_.e2e_delay_req = 0.01;
+  }
+
+  /// Provision both pairs and admit four live flows one at a time.
+  void seed(DurableBroker& db) {
+    ASSERT_TRUE(db.provision_path(1, "I1", "E1").is_ok());
+    ASSERT_TRUE(db.provision_path(2, "I2", "E2").is_ok());
+    live_.clear();
+    for (RequestId rid = 3; rid < 7; ++rid) {
+      auto r = db.request_service(rid, rid % 2 == 1 ? a_ : b_, 0.0);
+      ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+      live_.push_back(r.value().flow);
+    }
+  }
+
+  std::unique_ptr<DurableBroker> seeded_reference(FaultyJournalFile& file) {
+    auto db = DurableBroker::open(spec_, opts_, file);
+    EXPECT_TRUE(db.is_ok());
+    const std::vector<FlowId> live = live_;
+    seed(*db.value());
+    EXPECT_EQ(live_, live);  // same history, same flow ids
+    return std::move(db.value());
+  }
+
+  /// Admit runs over two pairs (grouped order reorders the first and last
+  /// run), an admit too tight to pass, releases of live flows, and a
+  /// release of an unknown flow, whose failure is recorded too.
+  std::vector<DurableOp> mixed_ops() const {
+    return {DurableOp::admit(10, a_),          DurableOp::admit(11, b_),
+            DurableOp::admit(12, a_),          DurableOp::release(13, live_[0]),
+            DurableOp::admit(14, tight_),      DurableOp::release(15, live_[1]),
+            DurableOp::release(16, live_[2]),  DurableOp::admit(17, b_),
+            DurableOp::admit(18, a_),          DurableOp::admit(19, b_),
+            DurableOp::release(20, 424242)};
+  }
+
+  FlowServiceRequest a_ = probe_request();  // I2 -> E2
+  FlowServiceRequest b_ = probe_request();  // I1 -> E1
+  FlowServiceRequest tight_ = probe_request();
+  std::vector<FlowId> live_;
+};
+
+TEST_F(MixedBatchTest, OneAppendAndTheSameVerdictsAsPerOpExecution) {
+  auto db = open();
+  seed(*db);
+  FaultyJournalFile ref_file;
+  auto ref = seeded_reference(ref_file);
+  const std::vector<DurableOp> ops = mixed_ops();
+  std::vector<Result<Reservation>> want(
+      ops.size(), Result<Reservation>(Status::rejected("unset")));
+  for (const std::size_t i : batch_execution_order(ops)) {
+    want[i] = run_member(*ref, ops[i], 5.0);
+  }
+
+  const std::uint64_t appends = file_.appends();
+  const std::vector<Result<Reservation>> got = db->execute_batch(ops, 5.0);
+  EXPECT_EQ(file_.appends(), appends + 1);
+  ASSERT_EQ(got.size(), ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    ASSERT_EQ(got[i].is_ok(), want[i].is_ok()) << "member " << i;
+    if (got[i].is_ok()) {
+      EXPECT_EQ(got[i].value().flow, want[i].value().flow) << "member " << i;
+      EXPECT_EQ(got[i].value().params.rate, want[i].value().params.rate);
+      EXPECT_EQ(got[i].value().params.delay, want[i].value().params.delay);
+    } else {
+      EXPECT_EQ(got[i].status().to_string(), want[i].status().to_string());
+    }
+  }
+  // The mix really mixes: admits, a reject, releases, a failed release.
+  EXPECT_TRUE(got[0].is_ok());
+  EXPECT_FALSE(got[4].is_ok());
+  EXPECT_TRUE(got[3].is_ok());
+  EXPECT_EQ(got[10].status().code(), StatusCode::kNotFound);
+
+  auto d_batch = broker_state_digest(db->broker());
+  auto d_ref = broker_state_digest(ref->broker());
+  ASSERT_TRUE(d_batch.is_ok());
+  ASSERT_TRUE(d_ref.is_ok());
+  EXPECT_EQ(d_batch.value(), d_ref.value());
+  EXPECT_EQ(db->next_lsn(), ref->next_lsn());
+  // Byte-identical records: the batch changes only how many appends
+  // carried them.
+  EXPECT_EQ(file_.contents(), ref_file.contents());
+
+  auto recovered = open();
+  auto d_rec = broker_state_digest(recovered->broker());
+  ASSERT_TRUE(d_rec.is_ok());
+  EXPECT_EQ(d_rec.value(), d_batch.value());
+}
+
+TEST_F(MixedBatchTest, RidReusedAcrossAdmitAndReleaseInOneBatchIsRejected) {
+  auto db = open();
+  seed(*db);
+  const std::vector<DurableOp> ops = {DurableOp::admit(30, a_),
+                                      DurableOp::release(30, live_[0])};
+  const auto got = db->execute_batch(ops, 1.0);
+  ASSERT_TRUE(got[0].is_ok());
+  EXPECT_EQ(got[1].status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(db->broker().flows().get(live_[0]).is_ok());  // not released
+  // The same reuse across two batches gets the same error.
+  const Status across = db->release_service(30, live_[0]);
+  EXPECT_EQ(across.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(across.message(), got[1].status().message());
+
+  // And the other way round: a release first, then an admit on its rid.
+  const std::vector<DurableOp> reversed = {DurableOp::release(31, live_[1]),
+                                           DurableOp::admit(31, a_)};
+  const auto got2 = db->execute_batch(reversed, 2.0);
+  EXPECT_TRUE(got2[0].is_ok());
+  EXPECT_EQ(got2[1].status().code(), StatusCode::kInvalidArgument);
+  const auto across2 = db->request_service(31, a_, 3.0);
+  EXPECT_EQ(across2.status().message(), got2[1].status().message());
+}
+
+TEST_F(MixedBatchTest, DuplicateReleaseRidWithinBatchReacks) {
+  auto db = open();
+  seed(*db);
+  const std::uint64_t lsn = db->next_lsn();
+  const std::uint64_t hits = db->stats().dedup_hits;
+  const std::vector<DurableOp> ops = {DurableOp::release(40, live_[0]),
+                                      DurableOp::admit(41, a_),
+                                      DurableOp::release(40, live_[0])};
+  const auto got = db->execute_batch(ops, 1.0);
+  EXPECT_TRUE(got[0].is_ok());
+  EXPECT_TRUE(got[2].is_ok()) << got[2].status().to_string();
+  EXPECT_EQ(db->next_lsn(), lsn + 2);  // the release once, the admit
+  EXPECT_EQ(db->stats().dedup_hits, hits + 1);
+  EXPECT_FALSE(db->broker().flows().get(live_[0]).is_ok());
+}
+
+TEST_F(MixedBatchTest,
+       FailedGroupAppendFailsEveryFreshMemberAndRemembersNothing) {
+  FailingJournalFile file;
+  auto opened = DurableBroker::open(spec_, opts_, file);
+  ASSERT_TRUE(opened.is_ok());
+  auto& db = opened.value();
+  seed(*db);
+  const WireBuffer image = file.contents();
+  const std::uint64_t lsn = db->next_lsn();
+  const std::uint64_t appended = db->stats().appended;
+
+  file.failing = true;
+  const std::vector<DurableOp> ops = {
+      DurableOp::admit(50, a_), DurableOp::release(51, live_[0]),
+      DurableOp::admit(6, b_),  // remembered: replays, never fails
+      DurableOp::release(52, 424242)};
+  const auto got = db->execute_batch(ops, 1.0);
+  for (const std::size_t i : {0u, 1u, 3u}) {
+    EXPECT_EQ(got[i].status().code(), StatusCode::kInternal) << "member " << i;
+    EXPECT_FALSE(db->remembers(ops[i].rid)) << "member " << i;
+  }
+  ASSERT_TRUE(got[2].is_ok());
+  EXPECT_EQ(got[2].value().flow, live_[3]);
+  EXPECT_EQ(db->next_lsn(), lsn);
+  EXPECT_EQ(db->stats().appended, appended);
+  EXPECT_EQ(file.contents(), image);
+}
+
+// Crash anywhere inside a mixed frame: recovery lands exactly on the
+// per-op state after the last whole record, at every byte cut.
+TEST_F(MixedBatchTest, MixedFrameCutAtEveryByteRecoversARecordPrefix) {
+  auto db = open();
+  seed(*db);
+  FaultyJournalFile ref_file;
+  auto ref = seeded_reference(ref_file);
+  const std::vector<DurableOp> ops = mixed_ops();
+
+  // Reference state after each record (every member is fresh, so one
+  // record per member, in documented order).
+  std::vector<StateDigest> states = {
+      digest_of(spec_, ref->broker(), ref->next_lsn())};
+  std::vector<RequestId> executed;
+  std::vector<Result<Reservation>> want;
+  for (const std::size_t i : batch_execution_order(ops)) {
+    want.push_back(run_member(*ref, ops[i], 5.0));
+    states.push_back(digest_of(spec_, ref->broker(), ref->next_lsn()));
+    executed.push_back(ops[i].rid);
+  }
+
+  const WireBuffer before = file_.contents();
+  const auto got = db->execute_batch(ops, 5.0);
+  const WireBuffer after = file_.contents();
+  ASSERT_EQ(after, ref_file.contents());
+
+  const JournalScan scan = scan_journal(after);
+  ASSERT_TRUE(scan.error.is_ok());
+  std::vector<std::size_t> boundaries = {before.size()};
+  for (std::size_t i = scan.records.size() - ops.size();
+       i < scan.records.size(); ++i) {
+    boundaries.push_back(boundaries.back() + 12 + 9 +
+                         scan.records[i].payload.size());
+  }
+  ASSERT_EQ(boundaries.back(), after.size());
+
+  for (std::size_t cut = before.size(); cut <= after.size(); ++cut) {
+    FaultyJournalFile partial;
+    partial.set_contents(WireBuffer(
+        after.begin(), after.begin() + static_cast<std::ptrdiff_t>(cut)));
+    auto r = DurableBroker::open(spec_, opts_, partial);
+    ASSERT_TRUE(r.is_ok()) << "cut " << cut << ": "
+                           << r.status().to_string();
+    std::size_t complete = 0;
+    while (complete + 1 < boundaries.size() &&
+           boundaries[complete + 1] <= cut) {
+      ++complete;
+    }
+    EXPECT_TRUE(digest_of(spec_, r.value()->broker(),
+                          r.value()->next_lsn()) == states[complete])
+        << "cut " << cut << " (" << complete << " whole records)";
+    for (std::size_t j = 0; j < executed.size(); ++j) {
+      EXPECT_EQ(r.value()->remembers(executed[j]), j < complete)
+          << "cut " << cut << " record " << j;
+    }
+  }
 }
 
 }  // namespace

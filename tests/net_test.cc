@@ -966,6 +966,18 @@ TEST(RetryingClientGiveUp, ExhaustsAttemptsAgainstSilentServer) {
 
 // ---- Exactly-once over the wire: rid dedup through a DurableBroker ----
 
+/// FsJournalFile that counts the appends reaching it (one per group
+/// commit). Atomic: the server thread appends while the test thread reads.
+class CountingFsJournalFile : public FsJournalFile {
+ public:
+  using FsJournalFile::FsJournalFile;
+  Status append(const WireBuffer& bytes) override {
+    ++appends;
+    return FsJournalFile::append(bytes);
+  }
+  std::atomic<std::uint64_t> appends{0};
+};
+
 class DurableNetServerTest : public ::testing::Test {
  protected:
   void boot(ServerOptions opts = ServerOptions{}) {
@@ -976,7 +988,7 @@ class DurableNetServerTest : public ::testing::Test {
     spec_ = dumbbell_topology(topo);
     path_ = ::testing::TempDir() + "/qosbb_net_dedup_wal.bin";
     std::remove(path_.c_str());
-    file_ = std::make_unique<FsJournalFile>(path_);
+    file_ = std::make_unique<CountingFsJournalFile>(path_);
     auto opened = DurableBroker::open(spec_, BrokerOptions{}, *file_);
     ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
     durable_ = std::move(opened).value();
@@ -999,9 +1011,42 @@ class DurableNetServerTest : public ::testing::Test {
     if (!path_.empty()) std::remove(path_.c_str());
   }
 
+  /// Stop the server and recover a fresh one from the same journal.
+  void restart() {
+    stop();
+    server_.reset();
+    durable_.reset();
+    file_ = std::make_unique<CountingFsJournalFile>(path_);
+    auto opened = DurableBroker::open(spec_, BrokerOptions{}, *file_);
+    ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
+    durable_ = std::move(opened).value();
+    server_ = std::make_unique<QosbbServer>(*durable_, ServerOptions{});
+    ASSERT_TRUE(server_->start().is_ok());
+    loop_ = std::thread([this] { server_->run(); });
+  }
+
+  Result<HealthReply> health(BlockingClient& client) {
+    if (Status s = client.send_message(encode(HealthRequest{})); !s.is_ok()) {
+      return s;
+    }
+    auto reply = client.read_message();
+    if (!reply.is_ok()) return reply.status();
+    return decode_health_reply(reply.value());
+  }
+
+  Result<SnapshotDigestReply> snapshot_digest(BlockingClient& client) {
+    if (Status s = client.send_message(encode(SnapshotDigestRequest{}));
+        !s.is_ok()) {
+      return s;
+    }
+    auto reply = client.read_message();
+    if (!reply.is_ok()) return reply.status();
+    return decode_snapshot_digest_reply(reply.value());
+  }
+
   DomainSpec spec_;
   std::string path_;
-  std::unique_ptr<FsJournalFile> file_;
+  std::unique_ptr<CountingFsJournalFile> file_;
   std::unique_ptr<DurableBroker> durable_;
   std::unique_ptr<QosbbServer> server_;
   std::thread loop_;
@@ -1073,6 +1118,102 @@ TEST_F(DurableNetServerTest, HealthReportsJournalPosition) {
   EXPECT_GT(health.value().journal_lsn, 0u);
   EXPECT_GE(health.value().dedup_entries, 1u);
   EXPECT_EQ(health.value().live_flows, 1u);
+}
+
+// Journaled dispatch runs admits and teardowns as one slab: one
+// execute_batch call, one journal append. On the wire that stays
+// invisible: replies come back in position order, every executed op is one
+// journal record, and a restart on the journal rebuilds the same state.
+TEST_F(DurableNetServerTest, PipelinedAdmitsAndTeardownsShareOneSlab) {
+  boot();
+  BlockingClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server_->port()).is_ok());
+  std::vector<FlowId> live;
+  for (RequestId rid = 1; rid <= 3; ++rid) {
+    ASSERT_TRUE(client
+                    .send_message(encode(
+                        make_request(static_cast<int>(rid % 2)), rid))
+                    .is_ok());
+    auto reply = client.read_message();
+    ASSERT_TRUE(reply.is_ok());
+    auto res = decode_reservation(reply.value());
+    ASSERT_TRUE(res.is_ok());
+    live.push_back(res.value().flow);
+  }
+  auto before = health(client);
+  ASSERT_TRUE(before.is_ok());
+
+  enum class Expect { kAdmitted, kRejected, kTornDown, kTeardownFailed };
+  struct Step {
+    WireBuffer message;
+    Expect expect;
+    bool journaled;  ///< false: a resent rid replays its decision
+  };
+  const std::vector<Step> steps = {
+      {encode(make_request(0), 10), Expect::kAdmitted, true},
+      {encode(TeardownRequest{live[0], 11}), Expect::kTornDown, true},
+      {encode(make_request(1), 12), Expect::kAdmitted, true},
+      {encode(make_request(0), 13), Expect::kAdmitted, true},
+      // Too big to admit: the reject is journaled like an admit.
+      {encode(make_request(0, 1e12), 14), Expect::kRejected, true},
+      {encode(TeardownRequest{live[1], 15}), Expect::kTornDown, true},
+      {encode(TeardownRequest{424242, 16}), Expect::kTeardownFailed, true},
+      {encode(make_request(1), 12), Expect::kAdmitted, false},
+      {encode(TeardownRequest{live[1], 15}), Expect::kTornDown, false},
+      {encode(TeardownRequest{live[2], 17}), Expect::kTornDown, true},
+      {encode(make_request(1), 18), Expect::kAdmitted, true},
+  };
+  WireBuffer burst;
+  std::uint64_t journaled = 0;
+  for (const Step& step : steps) {
+    const WireBuffer framed = frame_net_message(step.message);
+    burst.insert(burst.end(), framed.begin(), framed.end());
+    journaled += step.journaled ? 1 : 0;
+  }
+  const std::uint64_t appends_before = file_->appends;
+  ASSERT_TRUE(client.send_raw(burst).is_ok());
+
+  std::vector<FlowId> admitted(steps.size(), kInvalidFlowId);
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    auto reply = client.read_message();
+    ASSERT_TRUE(reply.is_ok()) << "reply " << i;
+    if (steps[i].expect == Expect::kAdmitted) {
+      auto res = decode_reservation(reply.value());
+      ASSERT_TRUE(res.is_ok()) << "reply " << i;
+      admitted[i] = res.value().flow;
+      continue;
+    }
+    auto reject = decode_reject_reply(reply.value());
+    ASSERT_TRUE(reject.is_ok()) << "reply " << i;
+    if (steps[i].expect == Expect::kTornDown) {
+      EXPECT_EQ(reject.value().reason, RejectReason::kNone) << "reply " << i;
+    } else if (steps[i].expect == Expect::kTeardownFailed) {
+      EXPECT_EQ(reject.value().reason, RejectReason::kPolicy)
+          << "reply " << i;
+    }
+  }
+  EXPECT_EQ(admitted[7], admitted[2]);  // resent rid 12: the same flow
+  // One write arrives as one read, so one slab and one group commit. Split
+  // at teardowns, the same burst would take seven appends.
+  EXPECT_LE(file_->appends - appends_before, 2u);
+
+  auto after = health(client);
+  ASSERT_TRUE(after.is_ok());
+  EXPECT_EQ(after.value().journal_lsn, before.value().journal_lsn + journaled);
+  // Flows left: the three seeded, minus three torn down, plus the four
+  // fresh admits that passed (steps 0, 2, 3, 10).
+  EXPECT_EQ(after.value().live_flows, 4u);
+
+  auto digest = snapshot_digest(client);
+  ASSERT_TRUE(digest.is_ok());
+  client.close();
+  restart();
+  BlockingClient again;
+  ASSERT_TRUE(again.connect("127.0.0.1", server_->port()).is_ok());
+  auto recovered = snapshot_digest(again);
+  ASSERT_TRUE(recovered.is_ok());
+  EXPECT_EQ(recovered.value().digest, digest.value().digest);
+  EXPECT_EQ(recovered.value().journal_lsn, digest.value().journal_lsn);
 }
 
 TEST(NetDigest, DeterministicAcrossCalls) {

@@ -184,6 +184,33 @@ TEST(Wire, ReaderPrimitivesRoundTrip) {
   EXPECT_FALSE(r.u8().is_ok());  // reading past the end is a clean error
 }
 
+// Regression: an empty string that ends an exactly-sized buffer leaves the
+// cursor at size() when str() builds its result. Indexing the buffer there
+// (&buf_[size()]) is out of range and aborts under -D_GLIBCXX_ASSERTIONS;
+// str() reads from data() + pos instead.
+TEST(Wire, EmptyStringEndingAnExactlySizedBufferDecodes) {
+  WireWriter w;
+  w.u8(7);
+  w.str("");
+  const WireBuffer buf = w.take();
+  ASSERT_EQ(buf.size(), 2u);
+  WireReader r(buf);
+  EXPECT_EQ(r.u8().value(), 7);
+  auto s = r.str();
+  ASSERT_TRUE(s.is_ok()) << s.status().to_string();
+  EXPECT_TRUE(s.value().empty());
+  EXPECT_TRUE(r.exhausted());
+
+  // The message that hit it: a PrepareReply whose detail is empty.
+  PrepareReply reply;
+  reply.txn = 9;
+  reply.prepared = true;
+  reply.segment_flow = 3;
+  auto out = decode_prepare_reply(encode(reply));
+  ASSERT_TRUE(out.is_ok()) << out.status().to_string();
+  EXPECT_TRUE(out.value().detail.empty());
+}
+
 TEST(Wire, ReaderTruncationHasDistinctCode) {
   // Every primitive read past the end of the buffer must report
   // kTruncated — journal recovery relies on this code to classify an

@@ -223,6 +223,26 @@ int write_corpus(const std::filesystem::path& dir) {
     put("two_frames.bin", bytes);
   }
 
+  // A pipelined journaled slab: admits and teardowns with RequestIds
+  // interleaved in one stream, as execute_batch receives them.
+  {
+    FlowServiceRequest req;
+    req.profile = TrafficProfile::make(24000.0, 1e5, 2e5, 12000.0);
+    req.e2e_delay_req = 1.0;
+    req.ingress = "I1";
+    req.egress = "E1";
+    std::vector<std::uint8_t> bytes;
+    bytes.push_back(2);
+    for (const WireBuffer& msg :
+         {encode(req, 11), encode(TeardownRequest{3, 12}), encode(req, 13),
+          encode(req, 14), encode(TeardownRequest{4, 15}),
+          encode(TeardownRequest{3, 12})}) {
+      const WireBuffer framed = frame_net_message(msg);
+      bytes.insert(bytes.end(), framed.begin(), framed.end());
+    }
+    put("mixed_slab.bin", bytes);
+  }
+
   // A truncated header and a corrupted CRC, straight to the sad paths.
   {
     WireBuffer framed = frame_net_message(encode(teardown));

@@ -19,6 +19,52 @@
 #include "util/status.h"
 
 namespace qosbb::fuzz {
+
+StateDigest digest_of(const DomainSpec& spec, const BandwidthBroker& bb,
+                      std::uint64_t next_lsn) {
+  StateDigest d;
+  d.links.reserve(spec.links.size());
+  for (const auto& l : spec.links) {
+    const LinkQosState& link = bb.nodes().link(l.from + "->" + l.to);
+    d.links.emplace_back(link.reserved(), link.buffer_reserved());
+  }
+  d.flows = bb.flows().count();
+  d.macroflows = bb.classes().macroflow_count();
+  d.next_lsn = next_lsn;
+  return d;
+}
+
+std::vector<std::size_t> batch_execution_order(
+    std::span<const DurableOp> ops) {
+  std::vector<std::size_t> order;
+  std::vector<const FlowServiceRequest*> run;
+  for (std::size_t i = 0; i < ops.size();) {
+    if (!ops[i].is_admit()) {
+      order.push_back(i++);
+      continue;
+    }
+    run.clear();
+    for (std::size_t j = i; j < ops.size() && ops[j].is_admit(); ++j) {
+      run.push_back(ops[j].request);
+    }
+    for (const std::size_t k : batch_grouped_order(run)) {
+      order.push_back(i + k);
+    }
+    i += run.size();
+  }
+  return order;
+}
+
+Result<Reservation> run_member(DurableBroker& db, const DurableOp& op,
+                               Seconds now) {
+  if (op.is_admit()) return db.request_service(op.rid, *op.request, now);
+  const Status s = db.release_service(op.rid, op.flow);
+  if (!s.is_ok()) return s;
+  Reservation r;
+  r.flow = op.flow;
+  return r;
+}
+
 namespace {
 
 /// Tolerance for "state unchanged after a rejected request" checks where
@@ -166,30 +212,6 @@ bool links_unchanged(const ExecState& st,
   return true;
 }
 
-/// Exact observable-state fingerprint used by crash-recovery equality:
-/// per-link floats bit-for-bit, flow population, and the journal position.
-struct StateDigest {
-  std::vector<std::pair<double, double>> links;
-  std::size_t flows = 0;
-  std::size_t macroflows = 0;
-  std::uint64_t next_lsn = 0;
-  bool operator==(const StateDigest&) const = default;
-};
-
-StateDigest digest_of(const DomainSpec& spec, const BandwidthBroker& bb,
-                      std::uint64_t next_lsn) {
-  StateDigest d;
-  d.links.reserve(spec.links.size());
-  for (const auto& l : spec.links) {
-    const LinkQosState& link = bb.nodes().link(l.from + "->" + l.to);
-    d.links.emplace_back(link.reserved(), link.buffer_reserved());
-  }
-  d.flows = bb.flows().count();
-  d.macroflows = bb.classes().macroflow_count();
-  d.next_lsn = next_lsn;
-  return d;
-}
-
 /// Validated profile from an op's recorded shape. The generator only emits
 /// shapes satisfying TrafficProfile::make's invariants.
 TrafficProfile op_profile(const FuzzOp& op) {
@@ -221,6 +243,33 @@ std::vector<FlowServiceRequest> batch_members(
         op.d_req, in, out, cfg.allow_preemption ? op.priority : 0});
   }
   return reqs;
+}
+
+/// The members of one kBatchAdmit op as the journaled harness runs it:
+/// the admits of batch_members, with up to two releases of distinct live
+/// flows drawn in (chosen by `target`), so the batch exercises
+/// execute_batch's mixed group commit. The first release splits the admits
+/// into two runs, the second ends the batch. With no release drawn the
+/// batch is admit-only (and runs through request_service_batch).
+std::vector<DurableOp> batch_ops(const FuzzOp& op,
+                                 const std::vector<FlowServiceRequest>& reqs,
+                                 const std::vector<FlowId>& live,
+                                 RequestId* next_rid) {
+  const std::size_t releases = std::min<std::size_t>(
+      live.size(), static_cast<std::size_t>((op.target / 7) % 3));
+  const std::size_t split = (reqs.size() + 1) / 2;
+  std::vector<DurableOp> ops;
+  auto release = [&](std::size_t j) {
+    const FlowId flow = live[pick(op.target + static_cast<std::int64_t>(j),
+                                  live.size())];
+    ops.push_back(DurableOp::release((*next_rid)++, flow));
+  };
+  for (std::size_t j = 0; j < reqs.size(); ++j) {
+    if (j == split && releases > 0) release(0);
+    ops.push_back(DurableOp::admit((*next_rid)++, reqs[j]));
+  }
+  if (releases > 1) release(1);
+  return ops;
 }
 
 void record_issued(ExecState& st, IssuedCall call) {
@@ -354,24 +403,21 @@ bool execute_op(ExecState& st, const FuzzOp& op, const FuzzConfig& cfg,
     case OpKind::kBatchAdmit: {
       const std::vector<FlowServiceRequest> reqs =
           batch_members(op, cfg, st.pairs);
-      std::vector<RequestId> rids;
-      rids.reserve(reqs.size());
-      for (std::size_t j = 0; j < reqs.size(); ++j) {
-        rids.push_back(st.next_rid++);
-      }
+      const std::vector<DurableOp> ops =
+          batch_ops(op, reqs, st.per_flow, &st.next_rid);
+      const std::vector<std::size_t> order = batch_execution_order(ops);
       // Sequential reference: a clone recovered from the current journal
       // (recovery is bit-exact, so it starts identical to the live broker)
-      // executes the members ONE AT A TIME in batch_grouped_order — the
-      // defined equivalence of request_service_batch. Fault-injection
-      // configs skip the clone (a sabotaged journal cannot seed it; a
-      // poisoned knot cache is not durable state); the batch itself still
-      // runs and the per-op state audit covers it.
+      // executes the members ONE AT A TIME in execute_batch's documented
+      // order. Fault-injection configs skip the clone (a sabotaged journal
+      // cannot seed it; a poisoned knot cache is not durable state); the
+      // batch itself still runs and the per-op state audit covers it.
       const bool cloned =
           !cfg.sabotage_drop_append && !cfg.sabotage_knot_cache;
       FaultyJournalFile clone_journal;
       std::unique_ptr<DurableBroker> clone;
       std::vector<Result<Reservation>> ref(
-          reqs.size(), Result<Reservation>(Status::rejected("unset")));
+          ops.size(), Result<Reservation>(Status::rejected("unset")));
       if (cloned) {
         clone_journal.set_contents(st.journal->contents());
         auto c = DurableBroker::open(st.spec, st.options, clone_journal);
@@ -381,19 +427,27 @@ bool execute_op(ExecState& st, const FuzzOp& op, const FuzzConfig& cfg,
           return false;
         }
         clone = std::move(c.value());
-        for (const std::size_t j : batch_grouped_order(reqs)) {
-          ref[j] = clone->request_service(rids[j], reqs[j], st.now);
+        for (const std::size_t j : order) {
+          ref[j] = run_member(*clone, ops[j], st.now);
         }
       }
-      const std::vector<Result<Reservation>> got =
-          st.db->request_service_batch(rids, reqs, st.now);
-      QOSBB_REQUIRE(got.size() == reqs.size(), "fuzz: batch result arity");
-      for (std::size_t j = 0; cloned && j < reqs.size(); ++j) {
+      // An admit-only batch goes through request_service_batch, a mixed
+      // one through execute_batch: both must match the reference.
+      const bool mixed = ops.size() != reqs.size();
+      std::vector<Result<Reservation>> got;
+      if (mixed) {
+        got = st.db->execute_batch(ops, st.now);
+      } else {
+        std::vector<RequestId> rids;
+        for (const DurableOp& m : ops) rids.push_back(m.rid);
+        got = st.db->request_service_batch(rids, reqs, st.now);
+      }
+      QOSBB_REQUIRE(got.size() == ops.size(), "fuzz: batch result arity");
+      for (std::size_t j = 0; cloned && j < ops.size(); ++j) {
         if (got[j].is_ok() != ref[j].is_ok()) {
           os << "batch member " << j << " decision split: batched "
-             << (got[j].is_ok() ? "admitted" : "rejected")
-             << ", one-at-a-time "
-             << (ref[j].is_ok() ? "admitted" : "rejected");
+             << (got[j].is_ok() ? "ok" : "failed") << ", one-at-a-time "
+             << (ref[j].is_ok() ? "ok" : "failed");
           *why = os.str();
           return false;
         }
@@ -434,22 +488,39 @@ bool execute_op(ExecState& st, const FuzzOp& op, const FuzzConfig& cfg,
         }
         // The group frame must be byte-identical to the member-at-a-time
         // appends: same records, same consecutive LSNs — the batch only
-        // changes how many flushes carried them.
+        // changes how many appends carried them.
         if (clone_journal.contents() != st.journal->contents()) {
           *why = "batch group-commit frame differs from the one-at-a-time "
                  "journal bytes";
           return false;
         }
       }
-      // Pool updates in execution (grouped) order; members re-deliver
-      // individually through the ordinary kAdmit dedup path.
-      for (const std::size_t j : batch_grouped_order(reqs)) {
+      // Pool updates in execution order; members re-deliver individually
+      // through the ordinary kAdmit / kRelease dedup paths.
+      for (const std::size_t j : order) {
         IssuedCall call;
-        call.rid = rids[j];
-        call.kind = OpKind::kAdmit;
+        call.rid = ops[j].rid;
         call.ok = got[j].is_ok();
-        call.req = reqs[j];
         call.now = st.now;
+        if (!ops[j].is_admit()) {
+          // Only an eviction earlier in the batch can take a live flow
+          // away before its release runs.
+          if (!call.ok && !cfg.allow_preemption) {
+            *why = "batch release of live flow failed: " +
+                   got[j].status().to_string();
+            return false;
+          }
+          call.kind = OpKind::kRelease;
+          call.flow = ops[j].flow;
+          if (call.ok) {
+            ++stats.releases;
+            std::erase(st.per_flow, ops[j].flow);
+          }
+          record_issued(st, std::move(call));
+          continue;
+        }
+        call.kind = OpKind::kAdmit;
+        call.req = *ops[j].request;
         if (got[j].is_ok()) {
           ++stats.admits;
           call.result_flow = got[j].value().flow;

@@ -39,10 +39,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/durable_broker.h"
 #include "core/journal.h"
 
 namespace qosbb::fuzz {
@@ -58,7 +60,9 @@ enum class OpKind : int {
   kSnapshotRestore = 7,  ///< anchor checkpoint (journal truncation)
   kCrashRecover = 8,     ///< kill + recover; `target` picks the fault mode
   kRedeliver = 9,        ///< duplicate delivery of an earlier request
-  kBatchAdmit = 10,      ///< 2-8 admits through the batched group-commit path
+  /// 2-8 admits through the batched group-commit path; the journaled
+  /// harness draws up to 2 releases of live flows into the batch.
+  kBatchAdmit = 10,
 };
 const char* op_kind_name(OpKind k);
 
@@ -151,8 +155,10 @@ FuzzResult replay(const FuzzConfig& cfg, const std::vector<FuzzOp>& ops);
 /// agree bit-for-bit: decision, reservation parameters, reject reason and
 /// detail, status text, per-link (reserved, buffer) floats, flow
 /// population, and aggregate stats; snapshot ops must produce byte-equal
-/// frames. kBatchAdmit ops run through ConcurrentBrokerFront::submit_batch
-/// against a member-at-a-time monolith reference in batch_grouped_order.
+/// frames. kBatchAdmit ops run their admits (the front has no mixed-batch
+/// call, so no releases are drawn in) through
+/// ConcurrentBrokerFront::submit_batch against a member-at-a-time monolith
+/// reference in batch_grouped_order.
 /// Journal-layer ops (kCrashRecover, kRedeliver) are skipped — this
 /// mode proves the decomposed front is observationally identical to the
 /// monolith, not durability (run_fuzz covers that). The front's broker
@@ -173,6 +179,27 @@ std::vector<FuzzOp> minimize(const FuzzConfig& cfg,
 std::string dump_repro(const FuzzConfig& cfg, const std::vector<FuzzOp>& ops);
 std::optional<std::pair<FuzzConfig, std::vector<FuzzOp>>> parse_repro(
     const std::string& text);
+
+/// Exact observable-state fingerprint used by crash-recovery equality:
+/// per-link floats bit-for-bit, flow population, and the journal position.
+struct StateDigest {
+  std::vector<std::pair<double, double>> links;
+  std::size_t flows = 0;
+  std::size_t macroflows = 0;
+  std::uint64_t next_lsn = 0;
+  bool operator==(const StateDigest&) const = default;
+};
+StateDigest digest_of(const DomainSpec& spec, const BandwidthBroker& bb,
+                      std::uint64_t next_lsn);
+
+/// DurableBroker::execute_batch's documented execution order: each admit
+/// run in batch_grouped_order, each release in its position.
+std::vector<std::size_t> batch_execution_order(
+    std::span<const DurableOp> ops);
+/// One batch member through the per-op API (request_service /
+/// release_service), shaped like an execute_batch result.
+Result<Reservation> run_member(DurableBroker& db, const DurableOp& op,
+                               Seconds now);
 
 // ---- Crash sweep ----
 
