@@ -342,7 +342,12 @@ Status BandwidthBroker::release_service(FlowId flow) {
 Result<Reservation> BandwidthBroker::renegotiate_service(
     FlowId flow, Seconds new_delay_req, Seconds now) {
   auto rec = flows_.get(flow);
-  if (!rec.is_ok()) return rec.status();
+  if (!rec.is_ok()) {
+    // No admission test ran: report no reason, as the concurrent front does
+    // (the journal records it, and recovery replays it on this broker).
+    last_outcome_ = AdmissionOutcome{};
+    return rec.status();
+  }
   QOSBB_REQUIRE(rec.value().kind == FlowKind::kPerFlow,
                 "renegotiate_service: not a per-flow reservation");
   const PathRecord& path = paths_.record(rec.value().path);
@@ -498,41 +503,57 @@ Result<BitsPerSecond> BandwidthBroker::release_link_external(
 
 namespace {
 
+/// Append the grouped order of `n` requests (read through `at`) to
+/// `*order`, each index shifted by `offset`.
 template <typename At>
-std::vector<std::size_t> grouped_order(std::size_t n, At at) {
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  std::vector<bool> placed(n, false);
+void append_grouped_order(std::size_t n, At at, std::size_t offset,
+                          std::vector<std::size_t>* order) {
+  thread_local std::vector<char> placed;
+  placed.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    if (placed[i]) continue;
+    if (placed[i] != 0) continue;
     const FlowServiceRequest& head = at(i);
     for (std::size_t j = i; j < n; ++j) {
-      if (!placed[j] && at(j).ingress == head.ingress &&
+      if (placed[j] == 0 && at(j).ingress == head.ingress &&
           at(j).egress == head.egress) {
-        placed[j] = true;
-        order.push_back(j);
+        placed[j] = 1;
+        order->push_back(offset + j);
       }
     }
   }
-  return order;
 }
 
 }  // namespace
 
 std::vector<std::size_t> batch_grouped_order(
     std::span<const FlowServiceRequest> requests) {
-  return grouped_order(requests.size(),
-                       [&](std::size_t i) -> const FlowServiceRequest& {
-                         return requests[i];
-                       });
+  std::vector<std::size_t> order;
+  order.reserve(requests.size());
+  append_grouped_order(
+      requests.size(),
+      [&](std::size_t i) -> const FlowServiceRequest& { return requests[i]; },
+      0, &order);
+  return order;
 }
 
-std::vector<std::size_t> batch_grouped_order(
-    std::span<const FlowServiceRequest* const> requests) {
-  return grouped_order(requests.size(),
-                       [&](std::size_t i) -> const FlowServiceRequest& {
-                         return *requests[i];
-                       });
+void slab_execution_order(std::span<const SlabOp> ops,
+                          std::vector<std::size_t>* order) {
+  order->clear();
+  for (std::size_t i = 0; i < ops.size();) {
+    if (!ops[i].is_admit()) {
+      order->push_back(i++);
+      continue;
+    }
+    std::size_t end = i + 1;
+    while (end < ops.size() && ops[end].is_admit()) ++end;
+    append_grouped_order(
+        end - i,
+        [&](std::size_t k) -> const FlowServiceRequest& {
+          return *ops[i + k].request;
+        },
+        i, order);
+    i = end;
+  }
 }
 
 }  // namespace qosbb

@@ -123,6 +123,7 @@ thread_local BookingDelta t_delta_old;
 thread_local std::vector<MemberPlan> t_plans;
 thread_local std::vector<BookingDelta> t_batch_deltas;
 thread_local std::vector<const BookingDelta*> t_delta_ptrs;
+thread_local std::vector<std::size_t> t_order;  ///< execute_batch order
 
 /// Evolve a path snapshot by one member's committed-to-be booking: the
 /// delta's items are in hop order (make_delta walks snap.storage), so this
@@ -203,50 +204,12 @@ bool ConcurrentBrokerFront::try_request_fast(const FlowServiceRequest& request,
   if (candidates.empty()) return false;
 
   ++bb_.stats_.requests;
-  AuditEntry audit;
-  audit.time = now;
-  audit.kind = AuditKind::kPerFlowRequest;
-  audit.ingress = request.ingress;
-  audit.egress = request.egress;
-  audit.requested_rho = request.profile.rho;
-  audit.requested_delay = request.e2e_delay_req;
-  auto rejected = [&](RejectReason reason,
-                      const std::string& detail) -> Status {
-    ++bb_.stats_.rejected[reason];
-    audit.admitted = false;
-    audit.reason = reason;
-    audit.detail = detail;
+  AuditEntry audit = request_audit(request, now);
+  AdmissionOutcome outcome;
+  std::string detail;
+  if (!phase0_ok(request, now, 0, &outcome, &detail)) {
     MutexLock fg(flow_mu_);
-    bb_.audit_.record(std::move(audit));
-    return Status::rejected(std::string(reject_reason_name(reason)) + ": " +
-                            detail);
-  };
-
-  // Phase 0a: broker overload protection (the limiter map has its own
-  // mutex inside the broker).
-  if (!bb_.request_rate_ok(request.ingress, now)) {
-    out->outcome = AdmissionOutcome{};
-    out->outcome.reason = RejectReason::kPolicy;
-    out->outcome.detail = "signaling rate limit";
-    out->result = rejected(RejectReason::kPolicy,
-                           "signaling rate limit exceeded for " +
-                               request.ingress);
-    return true;
-  }
-  // Phase 0b: policy control. The live flow count is read under flow_mu_;
-  // concurrent admits racing a max_flows boundary may overshoot by the
-  // concurrency degree (each decision was valid when taken) — the count is
-  // advisory policy input, not a bookkeeping invariant.
-  std::size_t nflows = 0;
-  {
-    MutexLock fg(flow_mu_);
-    nflows = bb_.flows_from_ingress(request.ingress);
-  }
-  if (Status pol = bb_.policy_.check(request, nflows); !pol.is_ok()) {
-    out->outcome = AdmissionOutcome{};
-    out->outcome.reason = RejectReason::kPolicy;
-    out->outcome.detail = pol.message();
-    out->result = rejected(RejectReason::kPolicy, pol.message());
+    book_reject(outcome, detail, audit, out);
     return true;
   }
 
@@ -276,7 +239,6 @@ bool ConcurrentBrokerFront::try_request_fast(const FlowServiceRequest& request,
   // snapshot — retry against fresh state (system-wide progress holds:
   // every retry is caused by someone else's success).
   PathId chosen = kInvalidPathId;
-  AdmissionOutcome outcome;
   const std::vector<const LinkQosState*>* chosen_links = nullptr;
   for (PathId candidate : candidates) {
     const PathRecord& rec = bb_.paths_.record(candidate);
@@ -312,8 +274,8 @@ bool ConcurrentBrokerFront::try_request_fast(const FlowServiceRequest& request,
       LinkStateStore::ShardLockSet sg(bb_.store_, links);
       audit.path_residual = residual_over(links);
     }
-    out->outcome = outcome;  // the last candidate's outcome
-    out->result = rejected(outcome.reason, outcome.detail);
+    MutexLock fg(flow_mu_);
+    book_reject(outcome, outcome.detail, audit, out);  // the last candidate's
     return true;
   }
 
@@ -325,74 +287,158 @@ bool ConcurrentBrokerFront::try_request_fast(const FlowServiceRequest& request,
     LinkStateStore::ShardLockSet sg(bb_.store_, *chosen_links);
     residual = residual_over(*chosen_links);
   }
-  Reservation res;
+  MutexLock fg(flow_mu_);
+  book_admit(request, chosen, outcome, residual, now, audit, out);
+  return true;
+}
+
+AuditEntry ConcurrentBrokerFront::request_audit(
+    const FlowServiceRequest& request, Seconds now) {
+  AuditEntry audit;
+  audit.time = now;
+  audit.kind = AuditKind::kPerFlowRequest;
+  audit.ingress = request.ingress;
+  audit.egress = request.egress;
+  audit.requested_rho = request.profile.rho;
+  audit.requested_delay = request.e2e_delay_req;
+  return audit;
+}
+
+bool ConcurrentBrokerFront::phase0_ok(const FlowServiceRequest& request,
+                                      Seconds now, std::size_t pending,
+                                      AdmissionOutcome* outcome,
+                                      std::string* detail) {
+  // Phase 0a: broker overload protection (the limiter map has its own
+  // mutex inside the broker), one token per request in order.
+  if (!bb_.request_rate_ok(request.ingress, now)) {
+    outcome->reason = RejectReason::kPolicy;
+    outcome->detail = "signaling rate limit";
+    *detail = "signaling rate limit exceeded for " + request.ingress;
+    return false;
+  }
+  // Phase 0b: policy control. The live flow count is read under flow_mu_;
+  // concurrent admits racing a max_flows boundary may overshoot by the
+  // concurrency degree (each decision was valid when taken) — the count is
+  // advisory policy input, not a bookkeeping invariant.
+  std::size_t nflows = pending;
   {
     MutexLock fg(flow_mu_);
-    FlowRecord flow;
-    flow.id = bb_.flows_.next_id();
-    flow.kind = FlowKind::kPerFlow;
-    flow.profile = request.profile;
-    flow.e2e_delay_req = request.e2e_delay_req;
-    flow.path = chosen;
-    flow.reservation = outcome.params;
-    flow.admitted_at = now;
-    flow.priority = request.priority;
-    bb_.flows_.add(flow);
-    ++bb_.ingress_flows_[request.ingress];
-    ++bb_.stats_.admitted;
-
-    audit.admitted = true;
-    audit.flow = flow.id;
-    audit.path = chosen;
-    audit.granted_rate = outcome.params.rate;
-    audit.granted_delay = outcome.params.delay;
-    audit.path_residual = residual;
-    bb_.audit_.record(std::move(audit));
-
-    res.flow = flow.id;
+    nflows += bb_.flows_from_ingress(request.ingress);
   }
-  res.path = chosen;
+  if (Status pol = bb_.policy_.check(request, nflows); !pol.is_ok()) {
+    outcome->reason = RejectReason::kPolicy;
+    outcome->detail = pol.message();
+    *detail = pol.message();
+    return false;
+  }
+  return true;
+}
+
+void ConcurrentBrokerFront::book_reject(const AdmissionOutcome& outcome,
+                                        const std::string& detail,
+                                        AuditEntry& audit, FrontOutcome* out) {
+  ++bb_.stats_.rejected[outcome.reason];
+  audit.admitted = false;
+  audit.reason = outcome.reason;
+  audit.detail = detail;
+  bb_.audit_.record(std::move(audit));
+  out->outcome = outcome;
+  out->result = Status::rejected(
+      std::string(reject_reason_name(outcome.reason)) + ": " + detail);
+}
+
+void ConcurrentBrokerFront::book_admit(const FlowServiceRequest& request,
+                                       PathId path,
+                                       const AdmissionOutcome& outcome,
+                                       BitsPerSecond residual, Seconds now,
+                                       AuditEntry& audit, FrontOutcome* out) {
+  FlowRecord flow;
+  flow.id = bb_.flows_.next_id();
+  flow.kind = FlowKind::kPerFlow;
+  flow.profile = request.profile;
+  flow.e2e_delay_req = request.e2e_delay_req;
+  flow.path = path;
+  flow.reservation = outcome.params;
+  flow.admitted_at = now;
+  flow.priority = request.priority;
+  bb_.flows_.add(flow);
+  ++bb_.ingress_flows_[request.ingress];
+  ++bb_.stats_.admitted;
+
+  audit.admitted = true;
+  audit.flow = flow.id;
+  audit.path = path;
+  audit.granted_rate = outcome.params.rate;
+  audit.granted_delay = outcome.params.delay;
+  audit.path_residual = residual;
+  bb_.audit_.record(std::move(audit));
+
+  Reservation res;
+  res.flow = flow.id;
+  res.path = path;
   res.params = outcome.params;
   res.e2e_bound = outcome.e2e_bound;
   out->outcome = outcome;
   out->result = std::move(res);
-  return true;
 }
 
-std::vector<FrontOutcome> ConcurrentBrokerFront::submit_batch(
-    std::span<const FlowServiceRequest> requests, Seconds now) {
-  std::vector<FrontOutcome> outs(requests.size());
-  if (requests.empty()) return outs;
-  const std::vector<std::size_t> order = batch_grouped_order(requests);
+void ConcurrentBrokerFront::execute_batch(std::span<const SlabOp> ops,
+                                          Seconds now,
+                                          std::span<FrontOutcome> outs) {
+  slab_execution_order(ops, &t_order);
+  execute_ordered(ops, t_order, now, outs);
+}
+
+void ConcurrentBrokerFront::execute_ordered(std::span<const SlabOp> ops,
+                                            std::span<const std::size_t> order,
+                                            Seconds now,
+                                            std::span<FrontOutcome> outs) {
+  QOSBB_REQUIRE(outs.size() == ops.size(), "execute_batch: outcome arity");
   std::size_t g = 0;
   while (g < order.size()) {
-    const FlowServiceRequest& head = requests[order[g]];
+    const SlabOp& head = ops[order[g]];
+    if (!head.is_admit()) {
+      outs[order[g++]] =
+          FrontOutcome::release(release_service(head.flow), head.flow);
+      continue;
+    }
     std::size_t e = g + 1;
-    while (e < order.size() && requests[order[e]].ingress == head.ingress &&
-           requests[order[e]].egress == head.egress) {
+    while (e < order.size() && ops[order[e]].is_admit() &&
+           ops[order[e]].request->ingress == head.request->ingress &&
+           ops[order[e]].request->egress == head.request->egress) {
       ++e;
     }
-    const std::span<const std::size_t> members(order.data() + g, e - g);
-    if (!fast_eligible_ || !try_group_fast(members, requests, now, &outs)) {
+    const std::span<const std::size_t> members = order.subspan(g, e - g);
+    if (!fast_eligible_ || !try_group_fast(members, ops, now, outs)) {
       // Group shapes the single-snapshot path does not handle run
-      // per-member — which IS the batch's defined semantics (one-at-a-time
-      // in grouped order), so this fallback is exact, just unamortized.
+      // per-member — which IS the slab's defined semantics (one-at-a-time
+      // in execution order), so this fallback is exact, just unamortized.
       for (const std::size_t idx : members) {
-        outs[idx] = request_service(requests[idx], now);
+        outs[idx] = request_service(*ops[idx].request, now);
       }
     }
     g = e;
   }
+}
+
+std::vector<FrontOutcome> ConcurrentBrokerFront::submit_batch(
+    std::span<const FlowServiceRequest> requests, Seconds now) {
+  std::vector<SlabOp> ops;
+  ops.reserve(requests.size());
+  for (const FlowServiceRequest& r : requests) {
+    ops.push_back(SlabOp::admit(kNoRequestId, r));
+  }
+  std::vector<FrontOutcome> outs(requests.size());
+  execute_batch(ops, now, outs);
   return outs;
 }
 
 bool ConcurrentBrokerFront::try_group_fast(
-    std::span<const std::size_t> members,
-    std::span<const FlowServiceRequest> requests, Seconds now,
-    std::vector<FrontOutcome>* outs)
+    std::span<const std::size_t> members, std::span<const SlabOp> ops,
+    Seconds now, std::span<FrontOutcome> outs)
     NO_THREAD_SAFETY_ANALYSIS /* dynamic shard-lock sets; big_ held shared */ {
   SharedLock guard(big_);
-  const FlowServiceRequest& head = requests[members.front()];
+  const FlowServiceRequest& head = *ops[members.front()].request;
   const std::vector<PathId>& candidates =
       bb_.paths_.find_all_ref(head.ingress, head.egress);
   // The group path handles the canonical min-hop shape: exactly one
@@ -416,40 +462,17 @@ bool ConcurrentBrokerFront::try_group_fast(
   std::size_t inbatch_admits = 0;  // tentative admits, same ingress by def.
   std::size_t n_admitted = 0;
   for (std::size_t m = 0; m < k; ++m) {
-    const FlowServiceRequest& request = requests[members[m]];
+    const FlowServiceRequest& request = *ops[members[m]].request;
     MemberPlan& plan = t_plans[m];
     plan = MemberPlan{};
     ++bb_.stats_.requests;
-    plan.audit.time = now;
-    plan.audit.kind = AuditKind::kPerFlowRequest;
-    plan.audit.ingress = request.ingress;
-    plan.audit.egress = request.egress;
-    plan.audit.requested_rho = request.profile.rho;
-    plan.audit.requested_delay = request.e2e_delay_req;
-
-    // Phase 0a: broker overload protection, one token per member in order.
-    if (!bb_.request_rate_ok(request.ingress, now)) {
+    plan.audit = request_audit(request, now);
+    // Phase 0, one limiter token per member in order. Tentative in-batch
+    // admits from this group count toward the ingress total — exactly the
+    // flows one-at-a-time execution would have added before this member.
+    if (!phase0_ok(request, now, inbatch_admits, &plan.outcome,
+                   &plan.status_detail)) {
       plan.phase0_reject = true;
-      plan.outcome.reason = RejectReason::kPolicy;
-      plan.outcome.detail = "signaling rate limit";
-      plan.status_detail =
-          "signaling rate limit exceeded for " + request.ingress;
-      continue;
-    }
-    // Phase 0b: policy control. Tentative in-batch admits from this group
-    // count toward the ingress total — exactly the flows one-at-a-time
-    // execution would have added before this member ran.
-    std::size_t nflows = 0;
-    {
-      MutexLock fg(flow_mu_);
-      nflows = bb_.flows_from_ingress(request.ingress);
-    }
-    nflows += inbatch_admits;
-    if (Status pol = bb_.policy_.check(request, nflows); !pol.is_ok()) {
-      plan.phase0_reject = true;
-      plan.outcome.reason = RejectReason::kPolicy;
-      plan.outcome.detail = pol.message();
-      plan.status_detail = pol.message();
       continue;
     }
 
@@ -504,7 +527,7 @@ bool ConcurrentBrokerFront::try_group_fast(
     for (std::size_t m = 0; m < k; ++m) {
       MemberPlan& plan = t_plans[m];
       if (plan.phase0_reject) continue;
-      const FlowServiceRequest& request = requests[members[m]];
+      const FlowServiceRequest& request = *ops[members[m]].request;
       plan.admitted = false;
       for (;;) {
         bb_.store_.snapshot_path(rec, links, &t_snap);
@@ -535,59 +558,17 @@ bool ConcurrentBrokerFront::try_group_fast(
   MutexLock fg(flow_mu_);
   for (std::size_t m = 0; m < k; ++m) {
     MemberPlan& plan = t_plans[m];
-    const FlowServiceRequest& request = requests[members[m]];
-    FrontOutcome& out = (*outs)[members[m]];
+    const FlowServiceRequest& request = *ops[members[m]].request;
+    FrontOutcome& out = outs[members[m]];
     if (plan.phase0_reject) {
-      ++bb_.stats_.rejected[plan.outcome.reason];
-      plan.audit.admitted = false;
-      plan.audit.reason = plan.outcome.reason;
-      plan.audit.detail = plan.status_detail;
-      bb_.audit_.record(std::move(plan.audit));
-      out.outcome = plan.outcome;
-      out.result = Status::rejected(
-          std::string(reject_reason_name(plan.outcome.reason)) + ": " +
-          plan.status_detail);
+      book_reject(plan.outcome, plan.status_detail, plan.audit, &out);
     } else if (!plan.admitted) {
-      ++bb_.stats_.rejected[plan.outcome.reason];
-      plan.audit.admitted = false;
-      plan.audit.reason = plan.outcome.reason;
-      plan.audit.detail = plan.outcome.detail;
       plan.audit.path = chosen;
       plan.audit.path_residual = plan.audit_residual;
-      bb_.audit_.record(std::move(plan.audit));
-      out.outcome = plan.outcome;
-      out.result = Status::rejected(
-          std::string(reject_reason_name(plan.outcome.reason)) + ": " +
-          plan.outcome.detail);
+      book_reject(plan.outcome, plan.outcome.detail, plan.audit, &out);
     } else {
-      FlowRecord flow;
-      flow.id = bb_.flows_.next_id();
-      flow.kind = FlowKind::kPerFlow;
-      flow.profile = request.profile;
-      flow.e2e_delay_req = request.e2e_delay_req;
-      flow.path = chosen;
-      flow.reservation = plan.outcome.params;
-      flow.admitted_at = now;
-      flow.priority = request.priority;
-      bb_.flows_.add(flow);
-      ++bb_.ingress_flows_[request.ingress];
-      ++bb_.stats_.admitted;
-
-      plan.audit.admitted = true;
-      plan.audit.flow = flow.id;
-      plan.audit.path = chosen;
-      plan.audit.granted_rate = plan.outcome.params.rate;
-      plan.audit.granted_delay = plan.outcome.params.delay;
-      plan.audit.path_residual = plan.audit_residual;
-      bb_.audit_.record(std::move(plan.audit));
-
-      Reservation res;
-      res.flow = flow.id;
-      res.path = chosen;
-      res.params = plan.outcome.params;
-      res.e2e_bound = plan.outcome.e2e_bound;
-      out.outcome = plan.outcome;
-      out.result = std::move(res);
+      book_admit(request, chosen, plan.outcome, plan.audit_residual, now,
+                 plan.audit, &out);
     }
   }
   return true;

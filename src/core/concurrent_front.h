@@ -98,6 +98,15 @@ class WorkerPool {
 struct FrontOutcome {
   Result<Reservation> result = Status::rejected("unset");
   AdmissionOutcome outcome;
+
+  /// A release's outcome: its Status, or on success a Reservation whose
+  /// only set field is `flow`.
+  static FrontOutcome release(const Status& s, FlowId flow) {
+    if (!s.is_ok()) return FrontOutcome{s, {}};
+    FrontOutcome out{Reservation{}, {}};
+    out.result.value().flow = flow;
+    return out;
+  }
 };
 
 class ConcurrentBrokerFront {
@@ -117,18 +126,35 @@ class ConcurrentBrokerFront {
   FrontOutcome renegotiate_service(FlowId flow, Seconds new_delay_req,
                                    Seconds now = 0.0);
 
-  /// Batched admission. Executes the batch with the semantics of
-  /// one-at-a-time request_service calls in batch_grouped_order, but pays
-  /// the per-path costs once per GROUP instead of once per request: one
-  /// PathSnapshot capture, one shard-lock acquisition for the group's OCC
-  /// validate/commit (LinkStateStore::try_commit_batch), and one flow-table
-  /// mutex hold for the bookkeeping of every member. Members after the
-  /// first are tested against a locally EVOLVED snapshot (LinkSnapshot::
-  /// apply_booking), so their verdicts are bit-identical to what they would
-  /// have seen live after the earlier members committed. If the group
-  /// commit loses its OCC validation, only the conflicting residue falls
-  /// back to the per-request retry loop. Outcomes are indexed by submission
-  /// position.
+  /// Mixed slab of admits and releases, executed in slab_execution_order:
+  /// each maximal admit run in batch_grouped_order, each release in its
+  /// position. Decisions and state are those of one-at-a-time
+  /// request_service / release_service calls in that order, but an admit
+  /// run pays the per-path costs once per GROUP of same-pair members
+  /// instead of once per request: one PathSnapshot capture, one shard-lock
+  /// acquisition for the group's OCC validate/commit
+  /// (LinkStateStore::try_commit_batch), and one flow-table mutex hold for
+  /// the bookkeeping of every member. Members after the first are tested
+  /// against a locally EVOLVED snapshot (LinkSnapshot::apply_booking), so
+  /// their verdicts are bit-identical to what they would have seen live
+  /// after the earlier members committed. If the group commit loses its OCC
+  /// validation, only the conflicting residue falls back to the
+  /// per-request retry loop. `outs` (sized like `ops`, reused by the
+  /// caller) receives one outcome per member, indexed by position; a
+  /// release's is FrontOutcome::release.
+  void execute_batch(std::span<const SlabOp> ops, Seconds now,
+                     std::span<FrontOutcome> outs);
+  /// execute_batch over the members `order` lists (indices into `ops`), in
+  /// that order: a caller that has already dropped members (the durable
+  /// broker's dedup) passes the rest in slab_execution_order. Same-pair
+  /// admits adjacent in `order` share one group; only the listed members'
+  /// outcomes are written.
+  void execute_ordered(std::span<const SlabOp> ops,
+                       std::span<const std::size_t> order, Seconds now,
+                       std::span<FrontOutcome> outs);
+
+  /// An admit-only slab: execute_batch over one admit run. Outcomes are
+  /// indexed by submission position.
   std::vector<FrontOutcome> submit_batch(
       std::span<const FlowServiceRequest> requests, Seconds now = 0.0);
 
@@ -217,6 +243,26 @@ class ConcurrentBrokerFront {
                         FrontOutcome* out);
   FrontOutcome request_exclusive(const FlowServiceRequest& request,
                                  Seconds now);
+  /// Audit entry of an admit request, before its decision.
+  static AuditEntry request_audit(const FlowServiceRequest& request,
+                                  Seconds now);
+  /// Phase 0 of an admit: the signaling rate limiter, then policy control
+  /// over the ingress's live flows plus `pending` not yet booked. On a
+  /// reject, fills `outcome` and the status/audit `detail` and returns
+  /// false.
+  bool phase0_ok(const FlowServiceRequest& request, Seconds now,
+                 std::size_t pending, AdmissionOutcome* outcome,
+                 std::string* detail);
+  /// Book a reject (stats, audit) and fill `out`. `detail` is the status
+  /// and audit text.
+  void book_reject(const AdmissionOutcome& outcome, const std::string& detail,
+                   AuditEntry& audit, FrontOutcome* out) REQUIRES(flow_mu_);
+  /// Book an admit on `path` (flow table, ingress count, stats, audit with
+  /// the post-commit `residual`) and fill `out`.
+  void book_admit(const FlowServiceRequest& request, PathId path,
+                  const AdmissionOutcome& outcome, BitsPerSecond residual,
+                  Seconds now, AuditEntry& audit, FrontOutcome* out)
+      REQUIRES(flow_mu_);
   /// Resolve every provisioned path's link-pointer cache so the concurrent
   /// fast path only ever reads it. Caller holds big_ exclusively.
   void warm_path_caches() REQUIRES(big_);
@@ -224,13 +270,14 @@ class ConcurrentBrokerFront {
   /// shard locks.
   static BitsPerSecond residual_over(
       const std::vector<const LinkQosState*>& links);
-  /// The single-snapshot group path of submit_batch: all of `members` share
-  /// one (ingress, egress) pair. Returns false when the group shape is not
-  /// handled (no / multiple provisioned candidates) and the caller should
-  /// fall back to per-member request_service in grouped order.
+  /// The single-snapshot group path of execute_batch: all of `members`
+  /// (indices into `ops`, all admits) share one (ingress, egress) pair.
+  /// Returns false when the group shape is not handled (no / multiple
+  /// provisioned candidates) and the caller should fall back to per-member
+  /// request_service in grouped order.
   bool try_group_fast(std::span<const std::size_t> members,
-                      std::span<const FlowServiceRequest> requests,
-                      Seconds now, std::vector<FrontOutcome>* outs);
+                      std::span<const SlabOp> ops, Seconds now,
+                      std::span<FrontOutcome> outs);
   /// Record one committed pre-filter prediction against the authoritative
   /// verdict.
   void record_prefilter(bool predicted_admit, bool actual_admit) {

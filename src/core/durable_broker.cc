@@ -56,14 +56,6 @@ void put_admit_request(WireWriter& w, const FlowServiceRequest& request,
   w.f64(now);
 }
 
-/// execute_batch's result for a release member.
-Result<Reservation> release_result(const Status& s, FlowId flow) {
-  if (!s.is_ok()) return s;
-  Reservation r;
-  r.flow = flow;
-  return r;
-}
-
 /// A rid reused by an operation of another kind: a client bug.
 Status rid_reuse_error(RequestId rid, JournalOpKind recorded,
                        JournalOpKind kind) {
@@ -102,17 +94,27 @@ WireBuffer encode_reservation_outcome(const Result<Reservation>& res,
   return w.take();
 }
 
-Result<Reservation> decode_reservation_outcome(const WireBuffer& bytes,
-                                               const char* what) {
+/// A recorded admit or renegotiation decision, as replayed to a duplicate
+/// delivery: a reject keeps its recorded RejectReason.
+FrontOutcome decode_reservation_outcome(const WireBuffer& bytes,
+                                        const char* what) {
+  FrontOutcome out;
   WireReader r(bytes);
   auto admitted = r.u8();
-  if (!admitted.is_ok()) return admitted.status();
+  if (!admitted.is_ok()) return FrontOutcome{admitted.status(), {}};
   if (admitted.value() == 0) {
     auto code = get_status_code(r);
-    if (!code.is_ok()) return code.status();
-    return replayed_error(code.value(), what);
+    if (!code.is_ok()) return FrontOutcome{code.status(), {}};
+    auto reason = r.u8();
+    if (!reason.is_ok()) return FrontOutcome{reason.status(), {}};
+    out.result = replayed_error(code.value(), what);
+    if (reason.value() <=
+        static_cast<std::uint8_t>(RejectReason::kInsufficientBuffer)) {
+      out.outcome.reason = static_cast<RejectReason>(reason.value());
+    }
+    return out;
   }
-  Reservation out;
+  Reservation res;
   auto flow = r.i64();
   auto path = r.i64();
   auto rate = r.f64();
@@ -121,18 +123,19 @@ Result<Reservation> decode_reservation_outcome(const WireBuffer& bytes,
   auto npre = r.u32();
   for (const Status& s : {flow.status(), path.status(), rate.status(),
                           delay.status(), bound.status(), npre.status()}) {
-    if (!s.is_ok()) return s;
+    if (!s.is_ok()) return FrontOutcome{s, {}};
   }
-  out.flow = flow.value();
-  out.path = path.value();
-  out.params = RateDelayPair{rate.value(), delay.value()};
-  out.e2e_bound = bound.value();
-  out.preempted.reserve(npre.value());
+  res.flow = flow.value();
+  res.path = path.value();
+  res.params = RateDelayPair{rate.value(), delay.value()};
+  res.e2e_bound = bound.value();
+  res.preempted.reserve(npre.value());
   for (std::uint32_t i = 0; i < npre.value(); ++i) {
     auto id = r.i64();
-    if (!id.is_ok()) return id.status();
-    out.preempted.push_back(id.value());
+    if (!id.is_ok()) return FrontOutcome{id.status(), {}};
+    res.preempted.push_back(id.value());
   }
+  out.result = std::move(res);
   return out;
 }
 
@@ -284,6 +287,20 @@ Result<BitsPerSecond> decode_release_amount_outcome(const WireBuffer& bytes) {
   return freed.value();
 }
 
+JournalOpKind kind_of(const SlabOp& op) {
+  return op.is_admit() ? JournalOpKind::kAdmit : JournalOpKind::kRelease;
+}
+
+/// A recorded slab-member decision, as replayed to a duplicate delivery.
+FrontOutcome replayed_member(JournalOpKind kind, const WireBuffer& outcome,
+                             FlowId flow) {
+  if (kind == JournalOpKind::kAdmit) {
+    return decode_reservation_outcome(outcome, "admit");
+  }
+  return FrontOutcome::release(decode_status_outcome(outcome, "release"),
+                               flow);
+}
+
 /// Decode helper for replay: a payload decode failure after the CRC
 /// passed means the log was written by incompatible code — data loss, not
 /// a client error.
@@ -334,6 +351,7 @@ Result<std::unique_ptr<DurableBroker>> DurableBroker::open(
   }
   db->recovered_order_ = std::move(db->window_order_);
   db->window_order_.clear();
+  db->open_front();
   // A torn tail holds no acknowledged data — drop it so future appends
   // extend the clean prefix instead of a partial record.
   if (scan.torn_tail) {
@@ -343,6 +361,10 @@ Result<std::unique_ptr<DurableBroker>> DurableBroker::open(
     if (Status s = file.replace(clean); !s.is_ok()) return s;
   }
   return db;
+}
+
+void DurableBroker::open_front() {
+  front_ = std::make_unique<ConcurrentBrokerFront>(*bb_, /*threads=*/1);
 }
 
 const DurableBroker::Decision* DurableBroker::find_decision(
@@ -428,7 +450,9 @@ Status DurableBroker::checkpoint() {
     return Status::internal("checkpoint: snapshot failed to restore: " +
                             restored.status().to_string());
   }
+  front_.reset();
   bb_ = std::move(restored.value());
+  open_front();
   return Status::ok();
 }
 
@@ -485,7 +509,9 @@ Result<PathId> DurableBroker::provision_path(RequestId rid,
   q.u64(rid);
   q.str(ingress);
   q.str(egress);
-  auto res = bb_->provision_path(ingress, egress);
+  auto res = front_->exclusive([&](BandwidthBroker& bb) {
+    return bb.provision_path(ingress, egress);
+  });
   const WireBuffer outcome = encode_path_outcome(res);
   if (Status s = log_decision(rid, JournalOpKind::kProvisionPath,
                               q.buffer(), outcome);
@@ -497,7 +523,7 @@ Result<PathId> DurableBroker::provision_path(RequestId rid,
 
 Result<Reservation> DurableBroker::request_service(
     RequestId rid, const FlowServiceRequest& request, Seconds now) {
-  const DurableOp op = DurableOp::admit(rid, request);
+  const SlabOp op = SlabOp::admit(rid, request);
   return std::move(execute_batch({&op, 1}, now).front());
 }
 
@@ -506,138 +532,133 @@ std::vector<Result<Reservation>> DurableBroker::request_service_batch(
     std::span<const FlowServiceRequest> requests, Seconds now) {
   QOSBB_REQUIRE(rids.size() == requests.size(),
                 "request_service_batch: rid/request count mismatch");
-  std::vector<DurableOp> ops;
+  std::vector<SlabOp> ops;
   ops.reserve(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    ops.push_back(DurableOp::admit(rids[i], requests[i]));
+    ops.push_back(SlabOp::admit(rids[i], requests[i]));
   }
   return execute_batch(ops, now);
 }
 
 Status DurableBroker::release_service(RequestId rid, FlowId flow) {
-  const DurableOp op = DurableOp::release(rid, flow);
+  const SlabOp op = SlabOp::release(rid, flow);
   return execute_batch({&op, 1}, 0.0).front().status();
 }
 
 std::vector<Result<Reservation>> DurableBroker::execute_batch(
-    std::span<const DurableOp> ops, Seconds now) {
-  std::vector<Result<Reservation>> results(
-      ops.size(), Result<Reservation>(Status::rejected("unset")));
-  frame_.clear();
-  fresh_.clear();
-  batch_rids_.clear();
-  std::size_t i = 0;
-  while (i < ops.size()) {
-    if (!ops[i].is_admit()) {
-      execute_member(ops[i], i, now, &results[i]);
-      ++i;
-      continue;
-    }
-    run_.clear();
-    for (std::size_t j = i; j < ops.size() && ops[j].is_admit(); ++j) {
-      run_.push_back(ops[j].request);
-    }
-    for (const std::size_t k : batch_grouped_order(run_)) {
-      execute_member(ops[i + k], i + k, now, &results[i + k]);
-    }
-    i += run_.size();
-  }
-  if (fresh_.empty()) return results;
-
-  // Group commit: one append for every fresh record of the batch.
-  if (Status s = file_.append(frame_.bytes()); !s.is_ok()) {
-    for (const Fresh& f : fresh_) results[f.idx] = s;
-    return results;
-  }
-  next_lsn_ += fresh_.size();
-  stats_.appended += fresh_.size();
-  records_since_anchor_ += fresh_.size();
-  for (Fresh& f : fresh_) {
-    remember(ops[f.idx].rid, f.kind, std::move(f.outcome));
-  }
-  maybe_anchor();
+    std::span<const SlabOp> ops, Seconds now) {
+  std::vector<FrontOutcome> outs(ops.size());
+  execute_batch(ops, now, outs);
+  std::vector<Result<Reservation>> results;
+  results.reserve(outs.size());
+  for (FrontOutcome& o : outs) results.push_back(std::move(o.result));
   return results;
 }
 
-void DurableBroker::execute_member(const DurableOp& op, std::size_t idx,
-                                   Seconds now, Result<Reservation>* result) {
-  const JournalOpKind kind =
-      op.is_admit() ? JournalOpKind::kAdmit : JournalOpKind::kRelease;
-  // A recorded decision: the window first, then the members this batch
-  // already executed (they are remembered only after the append).
-  Status mismatch = Status::ok();
-  const WireBuffer* recorded = nullptr;
-  if (const Decision* d = find_decision(op.rid, kind, &mismatch)) {
-    recorded = &d->outcome;
-  } else if (mismatch.is_ok() && op.rid != kNoRequestId) {
-    if (auto it = batch_rids_.find(op.rid); it != batch_rids_.end()) {
-      const Fresh& earlier = fresh_[it->second];
-      if (earlier.kind != kind) {
-        mismatch = rid_reuse_error(op.rid, earlier.kind, kind);
-      } else {
-        ++stats_.dedup_hits;
-        recorded = &earlier.outcome;
+void DurableBroker::execute_batch(std::span<const SlabOp> ops, Seconds now,
+                                  std::span<FrontOutcome> outs) {
+  QOSBB_REQUIRE(outs.size() == ops.size(), "execute_batch: outcome arity");
+  slab_execution_order(ops, &order_);
+  fresh_.clear();
+  batch_rids_.clear();
+  repeats_.clear();
+
+  // 1. Dedup, in execution order: the window first, then the members this
+  // slab executes (they are remembered only after the append).
+  for (const std::size_t idx : order_) {
+    const SlabOp& op = ops[idx];
+    const JournalOpKind kind = kind_of(op);
+    Status mismatch = Status::ok();
+    if (const Decision* d = find_decision(op.rid, kind, &mismatch)) {
+      outs[idx] = replayed_member(kind, d->outcome, op.flow);
+      continue;
+    }
+    if (mismatch.is_ok() && op.rid != kNoRequestId) {
+      if (auto it = batch_rids_.find(op.rid); it != batch_rids_.end()) {
+        const JournalOpKind earlier = kind_of(ops[fresh_[it->second]]);
+        if (earlier != kind) {
+          mismatch = rid_reuse_error(op.rid, earlier, kind);
+        } else {
+          ++stats_.dedup_hits;
+          repeats_.emplace_back(idx, it->second);
+          continue;
+        }
       }
     }
-  }
-  if (!mismatch.is_ok()) {
-    *result = mismatch;
-    return;
-  }
-  if (recorded != nullptr) {
-    if (op.is_admit()) {
-      *result = decode_reservation_outcome(*recorded, "admit");
-    } else {
-      *result = release_result(decode_status_outcome(*recorded, "release"),
-                               op.flow);
+    if (!mismatch.is_ok()) {
+      outs[idx] = FrontOutcome{mismatch, {}};
+      continue;
     }
-    return;
+    if (op.rid != kNoRequestId) batch_rids_.emplace(op.rid, fresh_.size());
+    fresh_.push_back(idx);
+  }
+  if (fresh_.empty()) return;
+
+  // 2. The front decides the fresh members, in execution order.
+  front_->execute_ordered(ops, fresh_, now, outs);
+
+  // 3. Frame every fresh record at consecutive LSNs, in execution order,
+  // with the decision the front returned.
+  const std::size_t n = fresh_.size();
+  encoded_.resize(n);
+  frame_.clear();
+  for (std::size_t k = 0; k < n; ++k) {
+    const SlabOp& op = ops[fresh_[k]];
+    const FrontOutcome& out = outs[fresh_[k]];
+    WireWriter& w = frame_.open_record(next_lsn_ + k, kind_of(op));
+    w.u64(op.rid);
+    if (op.is_admit()) {
+      put_admit_request(w, *op.request, now);
+      encoded_[k] = encode_reservation_outcome(out.result, out.outcome);
+    } else {
+      w.i64(op.flow);
+      encoded_[k] = encode_status_outcome(out.result.status());
+    }
+    w.raw(encoded_[k]);
+    frame_.close_record();
+  }
+  for (const auto& [idx, k] : repeats_) {
+    outs[idx] = replayed_member(kind_of(ops[idx]), encoded_[k], ops[idx].flow);
   }
 
-  WireWriter& w = frame_.open_record(next_lsn_ + fresh_.size(), kind);
-  w.u64(op.rid);
-  WireBuffer outcome;
-  if (op.is_admit()) {
-    put_admit_request(w, *op.request, now);
-    auto res = bb_->request_service(*op.request, now);
-    outcome = encode_reservation_outcome(res, bb_->last_outcome());
-    *result = std::move(res);
-  } else {
-    w.i64(op.flow);
-    const Status res = bb_->release_service(op.flow);
-    outcome = encode_status_outcome(res);
-    *result = release_result(res, op.flow);
+  // 4. Group commit: one append for every fresh record of the slab.
+  if (Status s = file_.append(frame_.bytes()); !s.is_ok()) {
+    for (const std::size_t idx : fresh_) outs[idx] = FrontOutcome{s, {}};
+    return;
   }
-  w.raw(outcome);
-  frame_.close_record();
-  if (op.rid != kNoRequestId) batch_rids_.emplace(op.rid, fresh_.size());
-  fresh_.push_back(Fresh{idx, kind, std::move(outcome)});
+  next_lsn_ += n;
+  stats_.appended += n;
+  records_since_anchor_ += n;
+  for (std::size_t k = 0; k < n; ++k) {
+    const SlabOp& op = ops[fresh_[k]];
+    remember(op.rid, kind_of(op), std::move(encoded_[k]));
+  }
+  maybe_anchor();
 }
 
-Result<Reservation> DurableBroker::renegotiate_service(RequestId rid,
-                                                       FlowId flow,
-                                                       Seconds new_delay_req,
-                                                       Seconds now) {
+FrontOutcome DurableBroker::renegotiate_service(RequestId rid, FlowId flow,
+                                                Seconds new_delay_req,
+                                                Seconds now) {
   Status mismatch = Status::ok();
   if (const Decision* d =
           find_decision(rid, JournalOpKind::kRenegotiate, &mismatch)) {
     return decode_reservation_outcome(d->outcome, "renegotiate");
   }
-  if (!mismatch.is_ok()) return mismatch;
+  if (!mismatch.is_ok()) return FrontOutcome{mismatch, {}};
   WireWriter q;
   q.u64(rid);
   q.i64(flow);
   q.f64(new_delay_req);
   q.f64(now);
-  auto res = bb_->renegotiate_service(flow, new_delay_req, now);
-  const WireBuffer outcome =
-      encode_reservation_outcome(res, bb_->last_outcome());
+  FrontOutcome out = front_->renegotiate_service(flow, new_delay_req, now);
+  const WireBuffer outcome = encode_reservation_outcome(out.result,
+                                                       out.outcome);
   if (Status s = log_decision(rid, JournalOpKind::kRenegotiate, q.buffer(),
                               outcome);
       !s.is_ok()) {
-    return s;
+    return FrontOutcome{s, {}};
   }
-  return res;
+  return out;
 }
 
 Result<ClassId> DurableBroker::define_class(RequestId rid, Seconds e2e_delay,
@@ -657,7 +678,9 @@ Result<ClassId> DurableBroker::define_class(RequestId rid, Seconds e2e_delay,
   q.f64(e2e_delay);
   q.f64(delay_param);
   q.str(name);
-  const ClassId cls = bb_->define_class(e2e_delay, delay_param, name);
+  const ClassId cls = front_->exclusive([&](BandwidthBroker& bb) {
+    return bb.define_class(e2e_delay, delay_param, name);
+  });
   const WireBuffer outcome = encode_class_outcome(cls);
   if (Status s = log_decision(rid, JournalOpKind::kClassDefine, q.buffer(),
                               outcome);
@@ -694,8 +717,10 @@ JoinResult DurableBroker::request_class_service(
   q.f64(now);
   q.u8(edge_backlog.has_value() ? 1 : 0);
   q.f64(edge_backlog.value_or(0.0));
-  const JoinResult j = bb_->request_class_service(cls, profile, ingress,
-                                                  egress, now, edge_backlog);
+  const JoinResult j = front_->exclusive([&](BandwidthBroker& bb) {
+    return bb.request_class_service(cls, profile, ingress, egress, now,
+                                    edge_backlog);
+  });
   const WireBuffer outcome = encode_join_outcome(j);
   if (Status s = log_decision(rid, JournalOpKind::kClassJoin, q.buffer(),
                               outcome);
@@ -724,7 +749,9 @@ Result<LeaveResult> DurableBroker::leave_class_service(
   q.f64(now);
   q.u8(edge_backlog.has_value() ? 1 : 0);
   q.f64(edge_backlog.value_or(0.0));
-  auto res = bb_->leave_class_service(microflow, now, edge_backlog);
+  auto res = front_->exclusive([&](BandwidthBroker& bb) {
+    return bb.leave_class_service(microflow, now, edge_backlog);
+  });
   const WireBuffer outcome = encode_leave_outcome(res);
   if (Status s = log_decision(rid, JournalOpKind::kClassLeave, q.buffer(),
                               outcome);
@@ -747,7 +774,9 @@ Status DurableBroker::reserve_link_external(RequestId rid,
   q.u64(rid);
   q.str(link);
   q.f64(amount);
-  const Status res = bb_->reserve_link_external(link, amount);
+  const Status res = front_->exclusive([&](BandwidthBroker& bb) {
+    return bb.reserve_link_external(link, amount);
+  });
   const WireBuffer outcome = encode_status_outcome(res);
   if (Status s = log_decision(rid, JournalOpKind::kLinkReserve, q.buffer(),
                               outcome);
@@ -769,7 +798,9 @@ Result<BitsPerSecond> DurableBroker::release_link_external(
   q.u64(rid);
   q.str(link);
   q.f64(amount);
-  auto res = bb_->release_link_external(link, amount);
+  auto res = front_->exclusive([&](BandwidthBroker& bb) {
+    return bb.release_link_external(link, amount);
+  });
   const WireBuffer outcome = encode_release_amount_outcome(res);
   if (Status s = log_decision(rid, JournalOpKind::kLinkRelease, q.buffer(),
                               outcome);
@@ -783,7 +814,8 @@ Status DurableBroker::expire_contingency(GrantId grant, Seconds now) {
   WireWriter q;
   q.i64(grant);
   q.f64(now);
-  bb_->expire_contingency(grant, now);
+  front_->exclusive(
+      [&](BandwidthBroker& bb) { bb.expire_contingency(grant, now); });
   return log_decision(kNoRequestId, JournalOpKind::kContingencyExpire,
                       q.buffer(), {});
 }
@@ -792,7 +824,8 @@ Status DurableBroker::edge_buffer_empty(FlowId macroflow, Seconds now) {
   WireWriter q;
   q.i64(macroflow);
   q.f64(now);
-  bb_->edge_buffer_empty(macroflow, now);
+  front_->exclusive(
+      [&](BandwidthBroker& bb) { bb.edge_buffer_empty(macroflow, now); });
   return log_decision(kNoRequestId, JournalOpKind::kBufferEmpty, q.buffer(),
                       {});
 }

@@ -1,15 +1,19 @@
-// Crash-consistent facade over BandwidthBroker: write-ahead journaling of
-// every state-mutating operation, anchor checkpoints, and idempotent
-// at-least-once request handling.
+// Crash-consistent journaling around the concurrent front: write-ahead
+// journaling of every state-mutating operation, anchor checkpoints, and
+// idempotent at-least-once request handling.
 //
-// Discipline (redo logging): execute the operation on the live broker,
-// append ONE record holding the request AND the encoded decision, and only
-// then acknowledge. Recovery loads the anchor snapshot at the head of the
-// log (if any) and re-executes the tail records in order; because the
-// broker is deterministic, each re-execution must reproduce the recorded
-// decision byte-for-byte — a mismatch means the log does not describe this
-// broker's history and recovery fails loudly (kDataLoss) instead of
-// rebuilding a subtly different state.
+// Discipline (redo logging): the live decision is made by a
+// ConcurrentBrokerFront over the broker (the same admission pipeline an
+// in-memory qosbbd runs); ONE record holding the request AND the encoded
+// decision is appended, and only then is the operation acknowledged.
+// Recovery loads the anchor snapshot at the head of the log (if any) and
+// re-executes the tail records in order on the sequential BandwidthBroker,
+// the reference implementation; because both are deterministic and decide
+// identically, each re-execution must reproduce the recorded decision
+// byte-for-byte — a mismatch means the log does not describe this broker's
+// history and recovery fails loudly (kDataLoss) instead of rebuilding a
+// subtly different state. Every restart therefore re-verifies the front's
+// decisions against the reference broker.
 //
 // Idempotency: signaling clients retry on timeout, so every client-facing
 // operation carries a client-assigned RequestId. A duplicate delivery
@@ -19,11 +23,12 @@
 // rebuilt from the tail on recovery, so a retry that straddles a crash is
 // still recognized.
 //
-// Checkpointing swaps the live broker for its own restored snapshot. That
-// sounds redundant, but it pins the float state: post-anchor execution then
-// starts from bit-exactly the state recovery will reconstruct, which is
-// what lets the fault-injection harness (tools/fuzz_harness.h) demand exact
-// equality between a crashed-and-recovered broker and the live one.
+// Checkpointing swaps the live broker for its own restored snapshot (and
+// opens a new front over it). That sounds redundant, but it pins the float
+// state: post-anchor execution then starts from bit-exactly the state
+// recovery will reconstruct, which is what lets the fault-injection
+// harness (tools/fuzz_harness.h) demand exact equality between a
+// crashed-and-recovered broker and the live one.
 
 #ifndef QOSBB_CORE_DURABLE_BROKER_H_
 #define QOSBB_CORE_DURABLE_BROKER_H_
@@ -35,9 +40,11 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/broker.h"
+#include "core/concurrent_front.h"
 #include "core/journal.h"
 
 namespace qosbb {
@@ -64,22 +71,6 @@ struct DurableBrokerStats {
   std::uint64_t replayed = 0;    ///< records re-executed during open()
   std::uint64_t dedup_hits = 0;  ///< duplicate deliveries short-circuited
   std::uint64_t checkpoints = 0;
-};
-
-/// One member of a mixed journaled batch (DurableBroker::execute_batch):
-/// an admit of `*request`, or, with `request` null, a release of `flow`.
-struct DurableOp {
-  RequestId rid = kNoRequestId;
-  const FlowServiceRequest* request = nullptr;  ///< admit; null = release
-  FlowId flow = kInvalidFlowId;                 ///< release target
-
-  static DurableOp admit(RequestId rid, const FlowServiceRequest& request) {
-    return DurableOp{rid, &request, kInvalidFlowId};
-  }
-  static DurableOp release(RequestId rid, FlowId flow) {
-    return DurableOp{rid, nullptr, flow};
-  }
-  bool is_admit() const { return request != nullptr; }
 };
 
 class DurableBroker {
@@ -112,35 +103,43 @@ class DurableBroker {
       std::span<const FlowServiceRequest> requests, Seconds now);
   /// One release: execute_batch with a single member.
   Status release_service(RequestId rid, FlowId flow);
-  /// Mixed batch of admits and releases, committed as ONE append.
+  /// Mixed slab of admits and releases, committed as ONE append.
   ///
-  /// Order: each maximal run of consecutive admits executes in
-  /// batch_grouped_order over that run, and each release executes in its
-  /// position. Decisions and state are identical to calling
-  /// request_service / release_service once per member in that order.
+  /// Order: slab_execution_order — each maximal run of consecutive admits
+  /// in batch_grouped_order over that run, each release in its position.
+  /// Decisions and state are identical to calling request_service /
+  /// release_service once per member in that order.
   ///
-  /// Journal: every fresh member's record is framed in place into the
-  /// broker's reusable frame, at consecutive LSNs in execution order, and
-  /// the whole frame goes out as one JournalFile::append before the call
-  /// returns (one write(2) on an FsJournalFile, however many members).
-  /// The records are byte-identical to the per-member calls'.
+  /// Dedup, first, in that order: a remembered rid replays its recorded
+  /// decision without executing or logging. A rid repeated WITHIN the
+  /// slab replays the earlier member's decision; if the earlier member was
+  /// the other kind, it gets the same kInvalidArgument as a reuse across
+  /// slabs.
   ///
-  /// Dedup: a remembered rid replays its recorded decision without
-  /// executing or logging. A rid repeated WITHIN the batch replays the
-  /// earlier member's decision; if the earlier member was the other kind,
-  /// it gets the same kInvalidArgument as a reuse across batches.
+  /// Execution: the fresh members go to the front in one
+  /// ConcurrentBrokerFront::execute_ordered call, in execution order.
+  ///
+  /// Journal: every fresh member's record is framed into the broker's
+  /// reusable frame, at consecutive LSNs in execution order, with the
+  /// decision the front returned, and the whole frame goes out as one
+  /// JournalFile::append before the call returns (one write(2) on an
+  /// FsJournalFile, however many members). The records are byte-identical
+  /// to the per-member calls'.
   ///
   /// Failure: if the append fails, every fresh member reports the append
   /// error and nothing is remembered (the unacknowledged-mutation state a
   /// failed single append leaves). Auto-anchoring is checked once, after
   /// the append.
   ///
-  /// Results are indexed by position. A release's result is its Status,
-  /// or on success a Reservation whose only set field is `flow`.
-  std::vector<Result<Reservation>> execute_batch(
-      std::span<const DurableOp> ops, Seconds now);
-  Result<Reservation> renegotiate_service(RequestId rid, FlowId flow,
-                                          Seconds new_delay_req, Seconds now);
+  /// `outs` (sized like `ops`) receives one outcome per member, indexed by
+  /// position. A replayed reject carries its recorded RejectReason.
+  void execute_batch(std::span<const SlabOp> ops, Seconds now,
+                     std::span<FrontOutcome> outs);
+  /// execute_batch, reporting only each member's result.
+  std::vector<Result<Reservation>> execute_batch(std::span<const SlabOp> ops,
+                                                 Seconds now);
+  FrontOutcome renegotiate_service(RequestId rid, FlowId flow,
+                                   Seconds new_delay_req, Seconds now);
   Result<ClassId> define_class(RequestId rid, Seconds e2e_delay,
                                Seconds delay_param, std::string name = {});
   JoinResult request_class_service(RequestId rid, ClassId cls,
@@ -203,10 +202,9 @@ class DurableBroker {
   /// rid field for client ops.
   Status log_decision(RequestId rid, JournalOpKind kind,
                       const WireBuffer& request, const WireBuffer& outcome);
-  /// Execute one execute_batch member: replay a recorded decision, or run
-  /// it on the broker and frame its record into frame_.
-  void execute_member(const DurableOp& op, std::size_t idx, Seconds now,
-                      Result<Reservation>* result);
+  /// Open the front over the current broker (after recovery, and after a
+  /// checkpoint swapped the broker).
+  void open_front();
   /// Auto-anchor once anchor_every records have accumulated (best effort).
   void maybe_anchor();
   void remember(RequestId rid, JournalOpKind kind, WireBuffer outcome);
@@ -221,6 +219,9 @@ class DurableBroker {
   DurableBrokerOptions options_;
   JournalFile& file_;
   std::unique_ptr<BandwidthBroker> bb_;
+  /// The live decision maker over *bb_; declared after it so it dies
+  /// first. Null while open() replays.
+  std::unique_ptr<ConcurrentBrokerFront> front_;
   std::uint64_t next_lsn_ = 1;
   std::uint64_t records_since_anchor_ = 0;
   std::unordered_map<RequestId, Decision> window_;
@@ -233,17 +234,16 @@ class DurableBroker {
   std::deque<RequestId> recovered_order_;
   DurableBrokerStats stats_;
 
-  // execute_batch working buffers, reused across calls so a steady batch
-  // stream does not allocate for framing or bookkeeping.
-  struct Fresh {
-    std::size_t idx = 0;  ///< position in the batch
-    JournalOpKind kind = JournalOpKind::kAdmit;
-    WireBuffer outcome;
-  };
+  // execute_batch working buffers, reused across calls so a steady slab
+  // stream does not allocate for ordering, framing or bookkeeping.
   JournalFrameWriter frame_;  ///< the group-commit frame
-  std::vector<Fresh> fresh_;  ///< members executed, in execution order
+  std::vector<std::size_t> order_;  ///< slab execution order
+  std::vector<std::size_t> fresh_;  ///< members to execute, in that order
+  std::vector<WireBuffer> encoded_;  ///< parallel to fresh_: the decisions
   std::unordered_map<RequestId, std::size_t> batch_rids_;  ///< -> fresh_
-  std::vector<const FlowServiceRequest*> run_;  ///< current admit run
+  /// In-slab repeats: (position, the fresh_ member whose decision it
+  /// replays).
+  std::vector<std::pair<std::size_t, std::size_t>> repeats_;
 };
 
 }  // namespace qosbb

@@ -71,10 +71,29 @@ struct FlowServiceRequest {
 /// batched and sequential runs bit-identical. (Defined in broker.cc.)
 std::vector<std::size_t> batch_grouped_order(
     std::span<const FlowServiceRequest> requests);
-/// The same order over requests held by pointer (an admit run inside a
-/// mixed journaled batch, whose requests are not contiguous).
-std::vector<std::size_t> batch_grouped_order(
-    std::span<const FlowServiceRequest* const> requests);
+
+/// One member of a mixed dispatch slab: an admit of `*request` or, with
+/// `request` null, a release of `flow`. `rid` is the client's RequestId,
+/// the durable broker's dedup key (unused in memory).
+struct SlabOp {
+  RequestId rid = kNoRequestId;
+  const FlowServiceRequest* request = nullptr;  ///< admit; null = release
+  FlowId flow = kInvalidFlowId;                 ///< release target
+
+  static SlabOp admit(RequestId rid, const FlowServiceRequest& request) {
+    return SlabOp{rid, &request, kInvalidFlowId};
+  }
+  static SlabOp release(RequestId rid, FlowId flow) {
+    return SlabOp{rid, nullptr, flow};
+  }
+  bool is_admit() const { return request != nullptr; }
+};
+
+/// The execution order a mixed slab defines: each maximal run of
+/// consecutive admits in batch_grouped_order over that run, each release in
+/// its position. Overwrites `*order` (a reusable buffer) with slab indices.
+void slab_execution_order(std::span<const SlabOp> ops,
+                          std::vector<std::size_t>* order);
 
 /// Reservation push (BB -> ingress edge conditioner): configure/reconfigure
 /// the conditioner for this (macro)flow.

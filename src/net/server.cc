@@ -25,13 +25,19 @@ namespace {
 /// event in the same batch dangling.
 constexpr int kMaxEpollEvents = 128;
 constexpr std::size_t kReadChunk = 64u << 10;
-/// Largest dispatch slab: an admit run for one submit_batch call in
-/// memory; admits and teardowns for one execute_batch call (one journal
-/// append) journaled.
+/// Largest dispatch slab: admits and teardowns for one execute_batch call
+/// (one journal append, journaled).
 constexpr std::size_t kMaxAdmitBatch = 256;
 
 Status errno_status(const char* what) {
   return Status::internal(std::string(what) + ": " + std::strerror(errno));
+}
+
+/// The detail a reject reply carries: the admission test's diagnosis, or
+/// the status message when no test ran (policy, replayed decisions).
+std::string reject_detail(const FrontOutcome& o) {
+  return o.outcome.detail.empty() ? o.result.status().message()
+                                  : o.outcome.detail;
 }
 
 }  // namespace
@@ -81,6 +87,7 @@ BandwidthBroker& QosbbServer::broker() {
 }
 
 Status QosbbServer::start() {
+  slab_requests_.reserve(kMaxAdmitBatch);
   if (::pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC) != 0) {
     return errno_status("pipe2");
   }
@@ -530,7 +537,6 @@ void QosbbServer::decode_frames(Conn& c) {
 }
 
 void QosbbServer::dispatch_pending(Conn& c) {
-  std::vector<SlabOp> slab;
   const auto deadline = std::chrono::milliseconds(
       options_.request_deadline_ms > 0 ? options_.request_deadline_ms : 0);
   while (!c.pending.empty() && !c.close_after_flush) {
@@ -546,7 +552,7 @@ void QosbbServer::dispatch_pending(Conn& c) {
     if (op.shed != ShedReason::kNone) {
       // Flush the accumulated slab first: replies are correlated by
       // POSITION, so the shed notice must not overtake earlier admits.
-      dispatch_slab(c, slab);
+      dispatch_slab(c);
       queue_overloaded(c, op.shed);
       continue;
     }
@@ -563,165 +569,113 @@ void QosbbServer::dispatch_pending(Conn& c) {
       // has already given up on. Shed it in its positional slot.
       ++stats_.shed_deadline;
       last_budget_shed_ = Clock::now();
-      dispatch_slab(c, slab);  // positional order, as above
+      dispatch_slab(c);  // positional order, as above
       queue_overloaded(c, ShedReason::kDeadline);
       continue;
     }
     switch (op.kind) {
       case PendingOp::Kind::kAdmit:
-        slab.push_back(SlabOp{std::move(op.request), op.rid});
-        // Bound both the backend call's latency and the reply bytes a
-        // single slab can queue before the watermark check at the loop top
-        // sees them: dispatch in slabs instead of one maximal run.
-        if (slab.size() >= kMaxAdmitBatch) dispatch_slab(c, slab);
-        continue;
       case PendingOp::Kind::kTeardown:
         // Per-connection order of operations is part of the protocol
-        // contract. Journaled, a teardown joins the slab: execute_batch
-        // runs it in its position and the slab still commits as one
-        // append. In memory it splits the admit run, because submit_batch
-        // takes admits only.
-        if (front_ != nullptr) dispatch_slab(c, slab);
-        slab.push_back(SlabOp{{}, op.rid, op.flow, true});
-        if (front_ != nullptr || slab.size() >= kMaxAdmitBatch) {
-          dispatch_slab(c, slab);
+        // contract: a teardown joins the slab and execute_batch runs it in
+        // its position.
+        if (op.kind == PendingOp::Kind::kAdmit) {
+          slab_requests_.push_back(std::move(op.request));
+          slab_.push_back(SlabOp::admit(op.rid, slab_requests_.back()));
+        } else {
+          slab_.push_back(SlabOp::release(op.rid, op.flow));
         }
+        // Bound both the backend call's latency and the reply bytes a
+        // single slab can queue before the watermark check at the loop top
+        // sees them (and keep slab_requests_ within its reservation).
+        if (slab_.size() >= kMaxAdmitBatch) dispatch_slab(c);
         continue;
       case PendingOp::Kind::kHealth:
-        dispatch_slab(c, slab);
+        dispatch_slab(c);
         ++stats_.health_requests;
         queue_reply(c, encode(make_health_reply()));
         continue;
       case PendingOp::Kind::kDigest:
-        dispatch_slab(c, slab);
+        dispatch_slab(c);
         dispatch_digest(c);
         continue;
       case PendingOp::Kind::kPrepare:
-        // Federation ops split admit runs like teardowns do: their member
-        // sub-operations must execute in their positional slot.
-        dispatch_slab(c, slab);
+        // Federation ops end the slab: their member sub-operations must
+        // execute in their positional slot.
+        dispatch_slab(c);
         dispatch_prepare(c, op.prepare);
         continue;
       case PendingOp::Kind::kCommit:
-        dispatch_slab(c, slab);
+        dispatch_slab(c);
         dispatch_commit(c, op.commit);
         continue;
       case PendingOp::Kind::kAbort:
-        dispatch_slab(c, slab);
+        dispatch_slab(c);
         dispatch_abort(c, op.abort);
         continue;
       case PendingOp::Kind::kFedDigest:
-        dispatch_slab(c, slab);
+        dispatch_slab(c);
         dispatch_fed_digest(c);
         continue;
       case PendingOp::Kind::kError:
-        dispatch_slab(c, slab);
+        dispatch_slab(c);
         queue_reply(c, encode(RejectReply{RejectReason::kPolicy,
                                           "protocol error: " + op.detail}));
         c.close_after_flush = true;
         continue;
     }
   }
-  dispatch_slab(c, slab);
+  dispatch_slab(c);
 }
 
-std::vector<QosbbServer::AdmitResult> QosbbServer::backend_execute(
-    std::span<const SlabOp> slab) {
-  std::vector<AdmitResult> out;
-  out.reserve(slab.size());
-  if (front_ != nullptr) {
-    // In memory a slab is one teardown or one admit run: dispatch_pending
-    // splits at every teardown, since submit_batch takes admits only.
-    if (slab.front().teardown) {
-      const Status s = front_->release_service(slab.front().flow);
-      AdmitResult r;
-      r.detail = s.message();
-      if (s.is_ok()) r.result = Reservation{};
-      else r.result = s;
-      out.push_back(std::move(r));
-      return out;
-    }
-    std::vector<FlowServiceRequest> requests;
-    requests.reserve(slab.size());
-    for (const SlabOp& a : slab) requests.push_back(a.request);
-    std::vector<FrontOutcome> outcomes = front_->submit_batch(requests);
-    for (FrontOutcome& o : outcomes) {
-      AdmitResult r;
-      r.reason = o.outcome.reason;
-      r.detail = o.outcome.detail.empty() ? o.result.status().message()
-                                          : o.outcome.detail;
-      r.result = std::move(o.result);
-      out.push_back(std::move(r));
-    }
-    return out;
-  }
+void QosbbServer::execute_slab(std::span<const SlabOp> ops) {
   // Durable mode: the CLIENT's rid is the idempotency key — a retried
   // request re-sends the same rid and the dedup window replays the recorded
   // decision (exactly-once across reconnects and server restarts).
   // kNoRequestId members are journaled but never deduplicated.
-  std::vector<DurableOp> ops;
-  ops.reserve(slab.size());
-  for (const SlabOp& op : slab) {
-    ops.push_back(op.teardown ? DurableOp::release(op.rid, op.flow)
-                              : DurableOp::admit(op.rid, op.request));
+  outcomes_.resize(ops.size());
+  if (durable_ != nullptr) {
+    durable_->execute_batch(ops, 0.0, outcomes_);
+  } else {
+    front_->execute_batch(ops, 0.0, outcomes_);
   }
-  for (Result<Reservation>& res : durable_->execute_batch(ops, 0.0)) {
-    AdmitResult r;
-    r.detail = res.status().message();
-    r.result = std::move(res);
-    out.push_back(std::move(r));
-  }
-  return out;
 }
 
-Status QosbbServer::backend_release(FlowId flow, RequestId rid) {
-  if (front_ != nullptr) return front_->release_service(flow);
-  return durable_->release_service(rid, flow);
+void QosbbServer::record(const SlabOp& op, const FrontOutcome& out) {
+  if (!options_.record_ops) return;
+  RecordedOp rec;
+  if (op.is_admit()) {
+    rec.kind = RecordedOp::Kind::kAdmit;
+    rec.request = *op.request;
+    rec.admitted = out.result.is_ok();
+    rec.assigned_flow =
+        rec.admitted ? out.result.value().flow : kInvalidFlowId;
+  } else {
+    if (!out.result.is_ok()) return;
+    rec.kind = RecordedOp::Kind::kRelease;
+    rec.flow = op.flow;
+  }
+  ops_.push_back(std::move(rec));
 }
 
-void QosbbServer::dispatch_slab(Conn& c, std::vector<SlabOp>& slab) {
-  if (slab.empty()) return;
-  std::vector<AdmitResult> outcomes = backend_execute(slab);
-  // Walk the slab's admit runs (in memory a slab is one run or one
-  // teardown): the batch counters count runs, and record_ops logs the
-  // library-level execution order — each run in batch_grouped_order, the
-  // order submit_batch and execute_batch define their semantics in.
-  std::vector<const FlowServiceRequest*> run;
-  for (std::size_t i = 0; i < slab.size();) {
-    if (slab[i].teardown) {
-      if (options_.record_ops && outcomes[i].result.is_ok()) {
-        RecordedOp op;
-        op.kind = RecordedOp::Kind::kRelease;
-        op.flow = slab[i].flow;
-        ops_.push_back(std::move(op));
-      }
-      ++i;
-      continue;
-    }
-    run.clear();
-    for (std::size_t j = i; j < slab.size() && !slab[j].teardown; ++j) {
-      run.push_back(&slab[j].request);
-    }
-    ++stats_.batches;
-    stats_.batched_requests += run.size();
-    if (options_.record_ops) {
-      for (const std::size_t k : batch_grouped_order(run)) {
-        const AdmitResult& r = outcomes[i + k];
-        RecordedOp op;
-        op.kind = RecordedOp::Kind::kAdmit;
-        op.request = *run[k];
-        op.admitted = r.result.is_ok();
-        op.assigned_flow =
-            op.admitted ? r.result.value().flow : kInvalidFlowId;
-        ops_.push_back(std::move(op));
-      }
-    }
-    i += run.size();
+void QosbbServer::dispatch_slab(Conn& c) {
+  if (slab_.empty()) return;
+  execute_slab(slab_);
+  // The batch counters count admit runs; record_ops logs the library-level
+  // execution order execute_batch defines its semantics in.
+  for (std::size_t i = 0; i < slab_.size(); ++i) {
+    if (!slab_[i].is_admit()) continue;
+    ++stats_.batched_requests;
+    if (i == 0 || !slab_[i - 1].is_admit()) ++stats_.batches;
   }
-  for (std::size_t i = 0; i < slab.size(); ++i) {
-    const AdmitResult& r = outcomes[i];
-    if (slab[i].teardown) {
-      if (r.result.is_ok()) {
+  if (options_.record_ops) {
+    slab_execution_order(slab_, &order_);
+    for (const std::size_t i : order_) record(slab_[i], outcomes_[i]);
+  }
+  for (std::size_t i = 0; i < slab_.size(); ++i) {
+    const FrontOutcome& o = outcomes_[i];
+    if (!slab_[i].is_admit()) {
+      if (o.result.is_ok()) {
         ++stats_.teardowns;
         // Generic status ack: a RejectReply whose reason is kNone means
         // "operation succeeded" (teardowns have no richer reply message).
@@ -729,17 +683,18 @@ void QosbbServer::dispatch_slab(Conn& c, std::vector<SlabOp>& slab) {
       } else {
         ++stats_.teardown_failures;
         queue_reply(c, encode(RejectReply{RejectReason::kPolicy,
-                                          r.result.status().message()}));
+                                          o.result.status().message()}));
       }
-    } else if (r.result.is_ok()) {
+    } else if (o.result.is_ok()) {
       ++stats_.admits;
-      queue_reply(c, encode(r.result.value()));
+      queue_reply(c, encode(o.result.value()));
     } else {
       ++stats_.rejects;
-      queue_reply(c, encode(RejectReply{r.reason, r.detail}));
+      queue_reply(c, encode(RejectReply{o.outcome.reason, reject_detail(o)}));
     }
   }
-  slab.clear();
+  slab_.clear();
+  slab_requests_.clear();
 }
 
 HealthReply QosbbServer::make_health_reply() {
@@ -777,32 +732,15 @@ void QosbbServer::dispatch_digest(Conn& c) {
   queue_reply(c, encode(reply));
 }
 
-QosbbServer::AdmitResult QosbbServer::fed_admit(
-    const FlowServiceRequest& request, RequestId rid) {
-  const SlabOp admit{request, rid};
-  std::vector<AdmitResult> out = backend_execute(std::span(&admit, 1));
-  if (options_.record_ops) {
-    RecordedOp op;
-    op.kind = RecordedOp::Kind::kAdmit;
-    op.request = request;
-    op.admitted = out[0].result.is_ok();
-    op.assigned_flow =
-        op.admitted ? out[0].result.value().flow : kInvalidFlowId;
-    ops_.push_back(std::move(op));
-  }
-  return std::move(out[0]);
+FrontOutcome QosbbServer::fed_execute(const SlabOp& op) {
+  execute_slab({&op, 1});
+  record(op, outcomes_[0]);
+  return std::move(outcomes_[0]);
 }
 
 Status QosbbServer::fed_release(FlowId flow, RequestId rid) {
   if (flow == kInvalidFlowId) return Status::ok();
-  Status s = backend_release(flow, rid);
-  if (s.is_ok() && options_.record_ops) {
-    RecordedOp op;
-    op.kind = RecordedOp::Kind::kRelease;
-    op.flow = flow;
-    ops_.push_back(std::move(op));
-  }
-  return s;
+  return fed_execute(SlabOp::release(rid, flow)).result.status();
 }
 
 void QosbbServer::dispatch_prepare(Conn& c, const PrepareSegment& p) {
@@ -811,13 +749,14 @@ void QosbbServer::dispatch_prepare(Conn& c, const PrepareSegment& p) {
   reply.txn = p.txn;
   // Phase 1a: the segment itself, a pinned-rate flow over the member's
   // local route. An already-remembered rid replays the recorded decision.
-  AdmitResult seg = fed_admit(
-      pinned_segment_request(p.ingress, p.egress, p.rate, p.l_max),
-      p.rid_segment);
+  const FlowServiceRequest segment =
+      pinned_segment_request(p.ingress, p.egress, p.rate, p.l_max);
+  const FrontOutcome seg =
+      fed_execute(SlabOp::admit(p.rid_segment, segment));
   if (!seg.result.is_ok()) {
     ++stats_.prepare_failures;
-    reply.reason = seg.reason;
-    reply.detail = seg.detail;
+    reply.reason = seg.outcome.reason;
+    reply.detail = reject_detail(seg);
     queue_reply(c, encode(reply));
     return;
   }
@@ -826,14 +765,14 @@ void QosbbServer::dispatch_prepare(Conn& c, const PrepareSegment& p) {
   // commit. On failure the coordinator aborts; no local rollback (see
   // PrepareReply's contract).
   if (p.contingency_rate > 0.0) {
-    AdmitResult cont = fed_admit(
-        pinned_segment_request(p.boundary_from, p.boundary_to,
-                               p.contingency_rate, p.l_max),
-        p.rid_contingency);
+    const FlowServiceRequest contingency = pinned_segment_request(
+        p.boundary_from, p.boundary_to, p.contingency_rate, p.l_max);
+    const FrontOutcome cont =
+        fed_execute(SlabOp::admit(p.rid_contingency, contingency));
     if (!cont.result.is_ok()) {
       ++stats_.prepare_failures;
-      reply.reason = cont.reason;
-      reply.detail = "contingency: " + cont.detail;
+      reply.reason = cont.outcome.reason;
+      reply.detail = "contingency: " + reject_detail(cont);
       queue_reply(c, encode(reply));
       return;
     }

@@ -9,14 +9,16 @@
 // pipelined HTTP/1.1 — and can keep hundreds of requests in flight.
 //
 // Dispatch is BATCHED: one readable-socket drain decodes every complete
-// frame buffered on the connection, and each maximal run of consecutive
-// FlowServiceRequests is admitted through a single
-// ConcurrentBrokerFront::submit_batch call (one snapshot capture + one
-// group OCC commit instead of per-request work). Teardowns split runs, so
-// per-connection operation order is preserved exactly. Against a
-// DurableBroker, admits and teardowns instead share one slab of at most
-// 256 ops, executed by one DurableBroker::execute_batch call in position
-// order: the whole slab commits as ONE journal append (group commit).
+// frame buffered on the connection, and consecutive admits and teardowns
+// share one slab of at most 256 ops, executed by one execute_batch call in
+// the slab's defined order (each admit run in batch_grouped_order, each
+// teardown in its position), so per-connection operation order is
+// preserved. Every live decision is made by ConcurrentBrokerFront (one
+// snapshot capture + one group OCC commit per same-pair group instead of
+// per-request work). In memory the server calls the front directly;
+// against a DurableBroker it calls the durable broker, which deduplicates,
+// lets the same front decide, and commits the whole slab as ONE journal
+// append (group commit). Both modes send the same replies.
 //
 // Backpressure: replies accumulate in a per-connection write buffer that
 // is flushed opportunistically and on EPOLLOUT. When a slow reader's
@@ -26,8 +28,8 @@
 // the client; other connections are unaffected.
 //
 // Every executed operation can be recorded (ServerOptions::record_ops) in
-// its exact library-level execution order — batches expanded in
-// batch_grouped_order, the order submit_batch defines its semantics in —
+// its exact library-level execution order — slabs expanded in
+// slab_execution_order, the order execute_batch defines its semantics in —
 // so that run_differential_check() can replay the whole session through a
 // fresh library-level front and demand a bit-identical state digest: the
 // proof that the network path (framing -> decode -> batch dispatch)
@@ -54,6 +56,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -225,15 +228,6 @@ class QosbbServer {
     Clock::time_point enqueued;
   };
 
-  /// One member of a dispatch slab: an admit, or a teardown. In memory a
-  /// slab is one admit run or one teardown; journaled it mixes both.
-  struct SlabOp {
-    FlowServiceRequest request;    ///< admit
-    RequestId rid = kNoRequestId;
-    FlowId flow = kInvalidFlowId;  ///< teardown target
-    bool teardown = false;
-  };
-
   void accept_ready();
   void conn_readable(Conn& c);
   void conn_writable(Conn& c);
@@ -247,9 +241,9 @@ class QosbbServer {
   void dispatch_pending(Conn& c);
   /// dispatch_pending + flush + backpressure-resume + close bookkeeping.
   void service_conn(Conn& c);
-  /// Execute one slab through the backend and queue its replies in
-  /// position order.
-  void dispatch_slab(Conn& c, std::vector<SlabOp>& slab);
+  /// Execute the pending slab (slab_) and queue its replies in position
+  /// order.
+  void dispatch_slab(Conn& c);
   void dispatch_digest(Conn& c);
   void dispatch_prepare(Conn& c, const PrepareSegment& p);
   void dispatch_commit(Conn& c, const CommitSegment& m);
@@ -270,20 +264,13 @@ class QosbbServer {
   void sweep_dead_conns();
   void drain_and_exit();
 
-  // Dispatch seam over the two backends.
-  struct AdmitResult {
-    Result<Reservation> result = Status::rejected("unset");
-    RejectReason reason = RejectReason::kNone;
-    std::string detail;
-  };
-  /// One slab: one submit_batch (an admit run) or one release_service (a
-  /// teardown) in memory; one execute_batch, so one journal append,
-  /// journaled. Results are indexed by slab position.
-  std::vector<AdmitResult> backend_execute(std::span<const SlabOp> slab);
-  Status backend_release(FlowId flow, RequestId rid);
-  /// One federation sub-admission (segment or contingency flow) through the
-  /// backend, recorded like a client admit when record_ops is on.
-  AdmitResult fed_admit(const FlowServiceRequest& request, RequestId rid);
+  /// Execute `ops` on whichever backend was configured, into outcomes_.
+  void execute_slab(std::span<const SlabOp> ops);
+  /// Log one executed op for run_differential_check (record_ops only).
+  void record(const SlabOp& op, const FrontOutcome& out);
+  /// One federation sub-operation (a segment or contingency admit, or a
+  /// teardown) as a single-op slab, recorded like a client op.
+  FrontOutcome fed_execute(const SlabOp& op);
   /// One federation teardown; kInvalidFlowId is a no-op success.
   Status fed_release(FlowId flow, RequestId rid);
 
@@ -293,6 +280,13 @@ class QosbbServer {
   ServerOptions options_;
   ServerStats stats_;
   std::vector<RecordedOp> ops_;
+
+  // Dispatch buffers, reused across slabs. start() reserves slab_requests_
+  // to the slab cap, so the request pointers in slab_ stay valid.
+  std::vector<FlowServiceRequest> slab_requests_;
+  std::vector<SlabOp> slab_;
+  std::vector<FrontOutcome> outcomes_;  ///< parallel to the executed slab
+  std::vector<std::size_t> order_;      ///< record_ops execution order
 
   int epoll_fd_ = -1;
   int listen_fd_ = -1;

@@ -817,13 +817,13 @@ class MixedBatchTest : public DurableBrokerTest {
   /// Admit runs over two pairs (grouped order reorders the first and last
   /// run), an admit too tight to pass, releases of live flows, and a
   /// release of an unknown flow, whose failure is recorded too.
-  std::vector<DurableOp> mixed_ops() const {
-    return {DurableOp::admit(10, a_),          DurableOp::admit(11, b_),
-            DurableOp::admit(12, a_),          DurableOp::release(13, live_[0]),
-            DurableOp::admit(14, tight_),      DurableOp::release(15, live_[1]),
-            DurableOp::release(16, live_[2]),  DurableOp::admit(17, b_),
-            DurableOp::admit(18, a_),          DurableOp::admit(19, b_),
-            DurableOp::release(20, 424242)};
+  std::vector<SlabOp> mixed_ops() const {
+    return {SlabOp::admit(10, a_),          SlabOp::admit(11, b_),
+            SlabOp::admit(12, a_),          SlabOp::release(13, live_[0]),
+            SlabOp::admit(14, tight_),      SlabOp::release(15, live_[1]),
+            SlabOp::release(16, live_[2]),  SlabOp::admit(17, b_),
+            SlabOp::admit(18, a_),          SlabOp::admit(19, b_),
+            SlabOp::release(20, 424242)};
   }
 
   FlowServiceRequest a_ = probe_request();  // I2 -> E2
@@ -837,7 +837,7 @@ TEST_F(MixedBatchTest, OneAppendAndTheSameVerdictsAsPerOpExecution) {
   seed(*db);
   FaultyJournalFile ref_file;
   auto ref = seeded_reference(ref_file);
-  const std::vector<DurableOp> ops = mixed_ops();
+  const std::vector<SlabOp> ops = mixed_ops();
   std::vector<Result<Reservation>> want(
       ops.size(), Result<Reservation>(Status::rejected("unset")));
   for (const std::size_t i : batch_execution_order(ops)) {
@@ -883,8 +883,8 @@ TEST_F(MixedBatchTest, OneAppendAndTheSameVerdictsAsPerOpExecution) {
 TEST_F(MixedBatchTest, RidReusedAcrossAdmitAndReleaseInOneBatchIsRejected) {
   auto db = open();
   seed(*db);
-  const std::vector<DurableOp> ops = {DurableOp::admit(30, a_),
-                                      DurableOp::release(30, live_[0])};
+  const std::vector<SlabOp> ops = {SlabOp::admit(30, a_),
+                                   SlabOp::release(30, live_[0])};
   const auto got = db->execute_batch(ops, 1.0);
   ASSERT_TRUE(got[0].is_ok());
   EXPECT_EQ(got[1].status().code(), StatusCode::kInvalidArgument);
@@ -895,8 +895,8 @@ TEST_F(MixedBatchTest, RidReusedAcrossAdmitAndReleaseInOneBatchIsRejected) {
   EXPECT_EQ(across.message(), got[1].status().message());
 
   // And the other way round: a release first, then an admit on its rid.
-  const std::vector<DurableOp> reversed = {DurableOp::release(31, live_[1]),
-                                           DurableOp::admit(31, a_)};
+  const std::vector<SlabOp> reversed = {SlabOp::release(31, live_[1]),
+                                        SlabOp::admit(31, a_)};
   const auto got2 = db->execute_batch(reversed, 2.0);
   EXPECT_TRUE(got2[0].is_ok());
   EXPECT_EQ(got2[1].status().code(), StatusCode::kInvalidArgument);
@@ -909,9 +909,9 @@ TEST_F(MixedBatchTest, DuplicateReleaseRidWithinBatchReacks) {
   seed(*db);
   const std::uint64_t lsn = db->next_lsn();
   const std::uint64_t hits = db->stats().dedup_hits;
-  const std::vector<DurableOp> ops = {DurableOp::release(40, live_[0]),
-                                      DurableOp::admit(41, a_),
-                                      DurableOp::release(40, live_[0])};
+  const std::vector<SlabOp> ops = {SlabOp::release(40, live_[0]),
+                                   SlabOp::admit(41, a_),
+                                   SlabOp::release(40, live_[0])};
   const auto got = db->execute_batch(ops, 1.0);
   EXPECT_TRUE(got[0].is_ok());
   EXPECT_TRUE(got[2].is_ok()) << got[2].status().to_string();
@@ -932,10 +932,10 @@ TEST_F(MixedBatchTest,
   const std::uint64_t appended = db->stats().appended;
 
   file.failing = true;
-  const std::vector<DurableOp> ops = {
-      DurableOp::admit(50, a_), DurableOp::release(51, live_[0]),
-      DurableOp::admit(6, b_),  // remembered: replays, never fails
-      DurableOp::release(52, 424242)};
+  const std::vector<SlabOp> ops = {
+      SlabOp::admit(50, a_), SlabOp::release(51, live_[0]),
+      SlabOp::admit(6, b_),  // remembered: replays, never fails
+      SlabOp::release(52, 424242)};
   const auto got = db->execute_batch(ops, 1.0);
   for (const std::size_t i : {0u, 1u, 3u}) {
     EXPECT_EQ(got[i].status().code(), StatusCode::kInternal) << "member " << i;
@@ -955,7 +955,7 @@ TEST_F(MixedBatchTest, MixedFrameCutAtEveryByteRecoversARecordPrefix) {
   seed(*db);
   FaultyJournalFile ref_file;
   auto ref = seeded_reference(ref_file);
-  const std::vector<DurableOp> ops = mixed_ops();
+  const std::vector<SlabOp> ops = mixed_ops();
 
   // Reference state after each record (every member is fresh, so one
   // record per member, in documented order).

@@ -1216,6 +1216,144 @@ TEST_F(DurableNetServerTest, PipelinedAdmitsAndTeardownsShareOneSlab) {
   EXPECT_EQ(recovered.value().journal_lsn, digest.value().journal_lsn);
 }
 
+// One admission pipeline: an in-memory and a journaled server decide
+// through the same front, so the same session gets the same replies, byte
+// for byte, rejects and failed teardowns included.
+class TwoModeServerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    DumbbellOptions topo;
+    topo.edge_pairs = 2;
+    topo.access_capacity = 10e9;
+    topo.bottleneck_capacity = 4e9;
+    spec_ = dumbbell_topology(topo);
+    bb_ = std::make_unique<BandwidthBroker>(spec_, BrokerOptions{});
+    front_ = std::make_unique<ConcurrentBrokerFront>(*bb_, 1);
+    path_ = ::testing::TempDir() + "/qosbb_net_two_mode_wal.bin";
+    std::remove(path_.c_str());
+    file_ = std::make_unique<FsJournalFile>(path_);
+    auto opened = DurableBroker::open(spec_, BrokerOptions{}, *file_);
+    ASSERT_TRUE(opened.is_ok()) << opened.status().to_string();
+    durable_ = std::move(opened).value();
+    servers_[0] = std::make_unique<QosbbServer>(*front_, ServerOptions{});
+    servers_[1] = std::make_unique<QosbbServer>(*durable_, ServerOptions{});
+    for (int m = 0; m < 2; ++m) {
+      QosbbServer* server = servers_[m].get();
+      ASSERT_TRUE(server->start().is_ok());
+      ASSERT_TRUE(server->provision_pair("I0", "E0").is_ok());
+      ASSERT_TRUE(server->provision_pair("I1", "E1").is_ok());
+      loops_[m] = std::thread([server] { server->run(); });
+      ASSERT_TRUE(clients_[m].connect("127.0.0.1", server->port()).is_ok());
+    }
+  }
+
+  void TearDown() override {
+    for (int m = 0; m < 2; ++m) {
+      clients_[m].close();
+      if (loops_[m].joinable()) {
+        servers_[m]->request_stop();
+        loops_[m].join();
+      }
+    }
+    std::remove(path_.c_str());
+  }
+
+  /// Pipeline `messages` as one write to server `m`; its replies in order.
+  std::vector<WireBuffer> exchange(int m,
+                                   const std::vector<WireBuffer>& messages) {
+    WireBuffer burst;
+    for (const WireBuffer& message : messages) {
+      const WireBuffer framed = frame_net_message(message);
+      burst.insert(burst.end(), framed.begin(), framed.end());
+    }
+    EXPECT_TRUE(clients_[m].send_raw(burst).is_ok());
+    std::vector<WireBuffer> replies;
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      auto reply = clients_[m].read_message();
+      EXPECT_TRUE(reply.is_ok()) << "mode " << m << " reply " << i;
+      if (!reply.is_ok()) break;
+      replies.push_back(std::move(reply).value());
+    }
+    return replies;
+  }
+
+  DomainSpec spec_;
+  std::unique_ptr<BandwidthBroker> bb_;
+  std::unique_ptr<ConcurrentBrokerFront> front_;
+  std::string path_;
+  std::unique_ptr<FsJournalFile> file_;
+  std::unique_ptr<DurableBroker> durable_;
+  std::unique_ptr<QosbbServer> servers_[2];  ///< in memory, journaled
+  std::thread loops_[2];
+  BlockingClient clients_[2];
+};
+
+TEST_F(TwoModeServerTest, InMemoryAndJournaledRepliesAreByteIdentical) {
+  std::vector<FlowId> live;
+  for (RequestId rid = 1; rid <= 3; ++rid) {
+    const auto seeded = exchange(
+        0, {encode(make_request(static_cast<int>(rid % 2)), rid)});
+    ASSERT_EQ(seeded, exchange(1, {encode(make_request(
+                                       static_cast<int>(rid % 2)), rid)}));
+    auto res = decode_reservation(seeded.at(0));
+    ASSERT_TRUE(res.is_ok());
+    live.push_back(res.value().flow);
+  }
+
+  constexpr RequestId kInfeasibleRid = 14;
+  const std::vector<WireBuffer> burst = {
+      encode(make_request(0), 10),
+      encode(TeardownRequest{live[0], 11}),
+      encode(make_request(1), 12),
+      encode(make_request(0, 1e12), kInfeasibleRid),
+      encode(make_request(0), 13),
+      encode(TeardownRequest{live[1], 15}),
+      encode(TeardownRequest{424242, 16}),
+      encode(make_request(1), 17),
+      encode(TeardownRequest{live[2], 18}),
+  };
+  const std::vector<WireBuffer> in_memory = exchange(0, burst);
+  const std::vector<WireBuffer> journaled = exchange(1, burst);
+  ASSERT_EQ(in_memory.size(), burst.size());
+  ASSERT_EQ(journaled.size(), burst.size());
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    EXPECT_EQ(in_memory[i], journaled[i]) << "reply " << i;
+  }
+
+  auto reject = decode_reject_reply(journaled[3]);
+  ASSERT_TRUE(reject.is_ok());
+  EXPECT_NE(reject.value().reason, RejectReason::kNone);
+  auto failed_teardown = decode_reject_reply(journaled[6]);
+  ASSERT_TRUE(failed_teardown.is_ok());
+  EXPECT_EQ(failed_teardown.value().reason, RejectReason::kPolicy);
+
+  // The journal replays the rejected admit's rid with its recorded reason.
+  const auto resent =
+      exchange(1, {encode(make_request(0, 1e12), kInfeasibleRid)});
+  auto replayed = decode_reject_reply(resent.at(0));
+  ASSERT_TRUE(replayed.is_ok());
+  EXPECT_EQ(replayed.value().reason, reject.value().reason);
+  EXPECT_EQ(durable_->stats().dedup_hits, 1u);
+}
+
+TEST_F(TwoModeServerTest, JournaledPrepareReplyCarriesTheRejectReason) {
+  PrepareSegment p;
+  p.txn = 7;
+  p.rid_segment = 70;
+  p.ingress = "I0";
+  p.egress = "E0";
+  p.rate = 1e12;  // wider than the bottleneck
+  p.l_max = 12000.0;
+  const std::vector<WireBuffer> in_memory = exchange(0, {encode(p)});
+  const std::vector<WireBuffer> journaled = exchange(1, {encode(p)});
+  ASSERT_EQ(journaled.size(), 1u);
+  EXPECT_EQ(in_memory, journaled);
+  auto reply = decode_prepare_reply(journaled[0]);
+  ASSERT_TRUE(reply.is_ok());
+  EXPECT_FALSE(reply.value().prepared);
+  EXPECT_NE(reply.value().reason, RejectReason::kNone);
+}
+
 TEST(NetDigest, DeterministicAcrossCalls) {
   DumbbellOptions topo;
   topo.edge_pairs = 2;

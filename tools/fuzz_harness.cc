@@ -34,10 +34,9 @@ StateDigest digest_of(const DomainSpec& spec, const BandwidthBroker& bb,
   return d;
 }
 
-std::vector<std::size_t> batch_execution_order(
-    std::span<const DurableOp> ops) {
+std::vector<std::size_t> batch_execution_order(std::span<const SlabOp> ops) {
   std::vector<std::size_t> order;
-  std::vector<const FlowServiceRequest*> run;
+  std::vector<FlowServiceRequest> run;
   for (std::size_t i = 0; i < ops.size();) {
     if (!ops[i].is_admit()) {
       order.push_back(i++);
@@ -45,7 +44,7 @@ std::vector<std::size_t> batch_execution_order(
     }
     run.clear();
     for (std::size_t j = i; j < ops.size() && ops[j].is_admit(); ++j) {
-      run.push_back(ops[j].request);
+      run.push_back(*ops[j].request);
     }
     for (const std::size_t k : batch_grouped_order(run)) {
       order.push_back(i + k);
@@ -55,7 +54,7 @@ std::vector<std::size_t> batch_execution_order(
   return order;
 }
 
-Result<Reservation> run_member(DurableBroker& db, const DurableOp& op,
+Result<Reservation> run_member(DurableBroker& db, const SlabOp& op,
                                Seconds now) {
   if (op.is_admit()) return db.request_service(op.rid, *op.request, now);
   const Status s = db.release_service(op.rid, op.flow);
@@ -251,22 +250,22 @@ std::vector<FlowServiceRequest> batch_members(
 /// execute_batch's mixed group commit. The first release splits the admits
 /// into two runs, the second ends the batch. With no release drawn the
 /// batch is admit-only (and runs through request_service_batch).
-std::vector<DurableOp> batch_ops(const FuzzOp& op,
-                                 const std::vector<FlowServiceRequest>& reqs,
-                                 const std::vector<FlowId>& live,
-                                 RequestId* next_rid) {
+std::vector<SlabOp> batch_ops(const FuzzOp& op,
+                              const std::vector<FlowServiceRequest>& reqs,
+                              const std::vector<FlowId>& live,
+                              RequestId* next_rid) {
   const std::size_t releases = std::min<std::size_t>(
       live.size(), static_cast<std::size_t>((op.target / 7) % 3));
   const std::size_t split = (reqs.size() + 1) / 2;
-  std::vector<DurableOp> ops;
+  std::vector<SlabOp> ops;
   auto release = [&](std::size_t j) {
     const FlowId flow = live[pick(op.target + static_cast<std::int64_t>(j),
                                   live.size())];
-    ops.push_back(DurableOp::release((*next_rid)++, flow));
+    ops.push_back(SlabOp::release((*next_rid)++, flow));
   };
   for (std::size_t j = 0; j < reqs.size(); ++j) {
     if (j == split && releases > 0) release(0);
-    ops.push_back(DurableOp::admit((*next_rid)++, reqs[j]));
+    ops.push_back(SlabOp::admit((*next_rid)++, reqs[j]));
   }
   if (releases > 1) release(1);
   return ops;
@@ -337,8 +336,13 @@ bool execute_op(ExecState& st, const FuzzOp& op, const FuzzConfig& cfg,
       const OracleDecision od = oracle_decide_request(bb, req);
       const auto before = capture_links(st);
       const RequestId rid = st.next_rid++;
-      auto res = st.db->request_service(rid, req, st.now);
-      const AdmissionOutcome& fast = bb.last_outcome();
+      // The decision the durable broker returns: its front decided it, so
+      // the broker's last_outcome() does not describe it.
+      const SlabOp admit = SlabOp::admit(rid, req);
+      FrontOutcome decided;
+      st.db->execute_batch({&admit, 1}, st.now, {&decided, 1});
+      const Result<Reservation>& res = decided.result;
+      const AdmissionOutcome& fast = decided.outcome;
       IssuedCall call;
       call.rid = rid;
       call.kind = OpKind::kAdmit;
@@ -403,7 +407,7 @@ bool execute_op(ExecState& st, const FuzzOp& op, const FuzzConfig& cfg,
     case OpKind::kBatchAdmit: {
       const std::vector<FlowServiceRequest> reqs =
           batch_members(op, cfg, st.pairs);
-      const std::vector<DurableOp> ops =
+      const std::vector<SlabOp> ops =
           batch_ops(op, reqs, st.per_flow, &st.next_rid);
       const std::vector<std::size_t> order = batch_execution_order(ops);
       // Sequential reference: a clone recovered from the current journal
@@ -439,7 +443,7 @@ bool execute_op(ExecState& st, const FuzzOp& op, const FuzzConfig& cfg,
         got = st.db->execute_batch(ops, st.now);
       } else {
         std::vector<RequestId> rids;
-        for (const DurableOp& m : ops) rids.push_back(m.rid);
+        for (const SlabOp& m : ops) rids.push_back(m.rid);
         got = st.db->request_service_batch(rids, reqs, st.now);
       }
       QOSBB_REQUIRE(got.size() == ops.size(), "fuzz: batch result arity");
@@ -572,8 +576,10 @@ bool execute_op(ExecState& st, const FuzzOp& op, const FuzzConfig& cfg,
           bb.paths(), bb.nodes(), rec.value().path, rec.value().profile,
           op.d_req, ex);
       const RequestId rid = st.next_rid++;
-      auto res = st.db->renegotiate_service(rid, id, op.d_req, st.now);
-      const AdmissionOutcome& fast = bb.last_outcome();
+      const FrontOutcome decided =
+          st.db->renegotiate_service(rid, id, op.d_req, st.now);
+      const Result<Reservation>& res = decided.result;
+      const AdmissionOutcome& fast = decided.outcome;
       if (res.is_ok() != oracle.admitted) {
         os << "renegotiation divergence for flow " << id << " to d_req "
            << op.d_req << ": broker "
@@ -797,12 +803,12 @@ bool execute_op(ExecState& st, const FuzzOp& op, const FuzzConfig& cfg,
         case OpKind::kRelease:
           ok2 = st.db->release_service(call.rid, call.flow).is_ok();
           break;
-        case OpKind::kRenegotiate:
-          ok2 = st.db
-                    ->renegotiate_service(call.rid, call.flow, call.d_req,
-                                          call.now)
-                    .is_ok();
+        case OpKind::kRenegotiate: {
+          const FrontOutcome r2 = st.db->renegotiate_service(
+              call.rid, call.flow, call.d_req, call.now);
+          ok2 = r2.result.is_ok();
           break;
+        }
         case OpKind::kClassJoin: {
           auto j2 = st.db->request_class_service(
               call.rid, call.cls, call.profile, call.ingress, call.egress,

@@ -155,10 +155,10 @@ FuzzResult replay(const FuzzConfig& cfg, const std::vector<FuzzOp>& ops);
 /// agree bit-for-bit: decision, reservation parameters, reject reason and
 /// detail, status text, per-link (reserved, buffer) floats, flow
 /// population, and aggregate stats; snapshot ops must produce byte-equal
-/// frames. kBatchAdmit ops run their admits (the front has no mixed-batch
-/// call, so no releases are drawn in) through
-/// ConcurrentBrokerFront::submit_batch against a member-at-a-time monolith
-/// reference in batch_grouped_order.
+/// frames. kBatchAdmit ops run their admits (no releases are drawn in;
+/// the journaled harness, whose DurableBroker decides through the same
+/// front, covers mixed slabs) through ConcurrentBrokerFront::submit_batch
+/// against a member-at-a-time monolith reference in batch_grouped_order.
 /// Journal-layer ops (kCrashRecover, kRedeliver) are skipped — this
 /// mode proves the decomposed front is observationally identical to the
 /// monolith, not durability (run_fuzz covers that). The front's broker
@@ -194,11 +194,10 @@ StateDigest digest_of(const DomainSpec& spec, const BandwidthBroker& bb,
 
 /// DurableBroker::execute_batch's documented execution order: each admit
 /// run in batch_grouped_order, each release in its position.
-std::vector<std::size_t> batch_execution_order(
-    std::span<const DurableOp> ops);
+std::vector<std::size_t> batch_execution_order(std::span<const SlabOp> ops);
 /// One batch member through the per-op API (request_service /
 /// release_service), shaped like an execute_batch result.
-Result<Reservation> run_member(DurableBroker& db, const DurableOp& op,
+Result<Reservation> run_member(DurableBroker& db, const SlabOp& op,
                                Seconds now);
 
 // ---- Crash sweep ----

@@ -4,7 +4,9 @@
 // serves the net/framing.h signaling protocol on a loopback TCP port
 // through the epoll server (net/server.h): pipelined FlowServiceRequest /
 // TeardownRequest frames in, Reservation / RejectReply frames out,
-// consecutive admits batched through ConcurrentBrokerFront::submit_batch.
+// consecutive admits and teardowns dispatched as one slab through
+// ConcurrentBrokerFront::execute_batch (journaled: through
+// DurableBroker::execute_batch, which lets the same front decide).
 //
 //   qosbbd --port=0 --port-file=/tmp/qosbbd.port        # ephemeral port
 //   qosbbd --topo=dumbbell --pairs=8 --bottleneck-mbps=40000
@@ -58,7 +60,6 @@ struct Args {
   int domain_index = -1;  // multidomain: which member this daemon serves
   double access_mbps = 100000.0;      // 100 Gb/s access links
   double bottleneck_mbps = 40000.0;   // 40 Gb/s shared bottleneck
-  int threads = 1;
   std::string journal;
   bool differential = false;
   // Overload-control knobs (0 disables; defaults in ServerOptions).
@@ -97,8 +98,6 @@ bool parse_args(int argc, char** argv, Args* args) {
       args->access_mbps = std::atof(v);
     } else if (const char* v = value("--bottleneck-mbps=")) {
       args->bottleneck_mbps = std::atof(v);
-    } else if (const char* v = value("--threads=")) {
-      args->threads = std::atoi(v);
     } else if (const char* v = value("--journal=")) {
       args->journal = v;
     } else if (const char* v = value("--max-inflight=")) {
@@ -140,9 +139,8 @@ bool parse_args(int argc, char** argv, Args* args) {
                  "--domain-index in [0, K)\n");
     return false;
   }
-  if (args->pairs < 1 || args->port < 0 || args->port > 65535 ||
-      args->threads < 1) {
-    std::fprintf(stderr, "qosbbd: bad --pairs/--port/--threads\n");
+  if (args->pairs < 1 || args->port < 0 || args->port > 65535) {
+    std::fprintf(stderr, "qosbbd: bad --pairs/--port\n");
     return false;
   }
   if (args->differential && !args->journal.empty()) {
@@ -165,7 +163,7 @@ void usage() {
       "              [--topo=dumbbell|fig8|multidomain] [--pairs=N]\n"
       "              [--domains=K] [--domain-index=I]\n"
       "              [--access-mbps=X] [--bottleneck-mbps=X]\n"
-      "              [--threads=N] [--journal=PATH] [--differential]\n"
+      "              [--journal=PATH] [--differential]\n"
       "              [--max-inflight=N] [--max-inflight-conn=N]\n"
       "              [--deadline-ms=N] [--brownout-inflight=N]\n"
       "              [--brownout-window-ms=N]\n"
@@ -255,7 +253,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<QosbbServer> server;
   if (args.journal.empty()) {
     bb = std::make_unique<BandwidthBroker>(spec, broker_options);
-    front = std::make_unique<ConcurrentBrokerFront>(*bb, args.threads);
+    front = std::make_unique<ConcurrentBrokerFront>(*bb, /*threads=*/1);
     server = std::make_unique<QosbbServer>(*front, server_options);
   } else {
     journal_file = std::make_unique<FsJournalFile>(args.journal);
@@ -293,10 +291,10 @@ int main(int argc, char** argv) {
     pf << server->port() << "\n";
   }
   std::fprintf(stderr,
-               "qosbbd: listening on %s:%u (topo=%s pairs=%zu threads=%d "
+               "qosbbd: listening on %s:%u (topo=%s pairs=%zu "
                "journal=%s differential=%d)\n",
                args.bind.c_str(), server->port(), args.topo.c_str(),
-               pairs.size(), args.threads,
+               pairs.size(),
                args.journal.empty() ? "off" : args.journal.c_str(),
                args.differential ? 1 : 0);
 
