@@ -9,7 +9,9 @@
 #      admission must still be releasable at the end (teardown answered
 #      "unknown flow" = LOST), and after full reconciliation the broker
 #      must hold zero live flows (a leftover = DUPLICATED admission).
-#      Every restart must log a journal-recovery line.
+#      Every restart must log a journal-recovery line, and the tail it
+#      replayed must be within the anchor rule's bound:
+#      tail_bytes <= max(4 x anchor_bytes, 1 MiB) + one slab.
 #
 #   2. overload shedding — a fresh qosbbd with tight budgets
 #      (--max-inflight / --max-inflight-conn / --deadline-ms /
@@ -55,6 +57,10 @@ done
 
 rm -rf "$log_dir"
 mkdir -p "$log_dir"
+
+# One dispatch slab's journal bytes, an upper bound: the server's 256-op
+# slab cap times 512 B, well above any record loadgen's requests frame to.
+slab_bytes=$((256 * 512))
 
 server_pid=""
 proxy_pid=""
@@ -104,6 +110,8 @@ spawn_chaos_loadgen
 
 kills_done=0
 restarts_verified=0
+anchored_restarts=0
+max_tail=0
 while ((kills_done < kills)); do
   sleep 0.3
   if ! kill -0 "$loadgen_pid" 2>/dev/null; then
@@ -143,6 +151,28 @@ while ((kills_done < kills)); do
     cat "$restart_log" >&2
     exit 1
   fi
+  # Bounded recovery: the replayed tail is at most the anchor threshold
+  # plus the one slab whose append crossed it.
+  anchor_bytes=""
+  tail_bytes=""
+  recovered_re='^qosbbd: journal recovered .* anchor_bytes=\([0-9]*\)'
+  recovered_re+=' tail_bytes=\([0-9]*\).*'
+  read -r anchor_bytes tail_bytes < <(sed -n "s/$recovered_re/\1 \2/p" \
+    "$restart_log") || true
+  if [[ -z "$tail_bytes" ]]; then
+    echo "e2e_chaos: restart $kills_done logged no anchor_bytes/tail_bytes" >&2
+    cat "$restart_log" >&2
+    exit 1
+  fi
+  tail_bound=$((4 * anchor_bytes > 1048576 ? 4 * anchor_bytes : 1048576))
+  tail_bound=$((tail_bound + slab_bytes))
+  if ((tail_bytes > tail_bound)); then
+    echo "e2e_chaos: restart $kills_done replayed a $tail_bytes-byte tail" \
+      "(anchor $anchor_bytes B, bound $tail_bound B)" >&2
+    exit 1
+  fi
+  if ((tail_bytes > max_tail)); then max_tail=$tail_bytes; fi
+  if ((anchor_bytes > 0)); then anchored_restarts=$((anchored_restarts + 1)); fi
   restarts_verified=$((restarts_verified + 1))
 done
 
@@ -178,7 +208,8 @@ EOF
 kill -TERM "$server_pid" 2>/dev/null || true
 wait "$server_pid" 2>/dev/null || true
 server_pid=""
-echo "e2e_chaos: phase 1 survived $restarts_verified SIGKILL restarts"
+echo "e2e_chaos: phase 1 survived $restarts_verified SIGKILL restarts" \
+  "($anchored_restarts from an anchor, longest tail $max_tail B)"
 
 # ---------------------------------------------------------------------------
 echo "e2e_chaos: phase 2 — overload shedding ($overload_requests requests" \

@@ -151,7 +151,9 @@ BandwidthBroker::try_preempt(const FlowServiceRequest& request,
                              const std::vector<PathId>& candidates) {
   for (PathId candidate : candidates) {
     // Victims: strictly lower-priority per-flow reservations on this path,
-    // cheapest (lowest priority, then smallest rate) first.
+    // cheapest (lowest priority, then smallest rate, then oldest id) first.
+    // The id tie-break makes the order independent of the flow MIB's hash
+    // layout, which differs between a live broker and its recovery.
     std::vector<FlowRecord> victims;
     for (const auto& [id, rec] : flows_.all()) {
       if (rec.kind == FlowKind::kPerFlow && rec.path == candidate &&
@@ -163,7 +165,10 @@ BandwidthBroker::try_preempt(const FlowServiceRequest& request,
     std::sort(victims.begin(), victims.end(),
               [](const FlowRecord& a, const FlowRecord& b) {
                 if (a.priority != b.priority) return a.priority < b.priority;
-                return a.reservation.rate < b.reservation.rate;
+                if (a.reservation.rate != b.reservation.rate) {
+                  return a.reservation.rate < b.reservation.rate;
+                }
+                return a.id < b.id;
               });
     std::vector<FlowRecord> evicted;
     const PathRecord& rec = paths_.record(candidate);

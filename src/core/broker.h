@@ -40,6 +40,8 @@
 
 namespace qosbb {
 
+class WireStream;
+
 /// Per-flow path selection policy across the candidate routes the routing
 /// module provisions for an ingress–egress pair.
 enum class PathSelection {
@@ -219,14 +221,52 @@ class BandwidthBroker {
   /// QUIESCENT broker: no active contingency grants (transients cannot be
   /// checkpointed consistently; wait for them to settle). The domain spec
   /// itself is NOT serialized — restore takes it as input, as a real
-  /// recovery would read it from configuration.
+  /// recovery would read it from configuration. The frame is verified by a
+  /// scratch restore before it is returned (see snapshot.cc).
   Result<std::vector<std::uint8_t>> snapshot() const;
+  /// Byte length of the frame snapshot() returns, from a sizing pass over
+  /// the encoder (nothing is encoded). Requires quiescence.
+  std::size_t snapshot_size() const;
+  /// Stream the frame snapshot() returns through `out`, without the
+  /// scratch-restore self-check: at most one WireStream chunk of it is
+  /// ever in memory. `size` is snapshot_size() of the unchanged state.
+  /// Requires quiescence.
+  void write_snapshot(WireStream& out, std::size_t size) const;
   /// Rebuild a broker from `spec` + a snapshot frame: all flow/class state
-  /// is re-booked with the ORIGINAL ids; MIB bookkeeping is reconstructed
-  /// from scratch (and therefore consistent by construction).
+  /// is restored with the ORIGINAL ids, then every link ledger is booked
+  /// from those records by the same routine rebase_ledgers ends with, so
+  /// the bookkeeping is consistent by construction.
   static Result<std::unique_ptr<BandwidthBroker>> restore(
       const DomainSpec& spec, BrokerOptions options,
       const std::vector<std::uint8_t>& frame);
+  /// The id counters a snapshot does not carry. A journal anchor stores
+  /// them beside its snapshot, so a recovered broker hands out the ids the
+  /// live one would have: flow and grant ids are never reused.
+  struct IdCounters {
+    FlowId next_flow = 1;
+    GrantId next_grant = 1;
+  };
+  IdCounters id_counters() const {
+    return {flows_.upcoming_id(), classes_.next_grant_id()};
+  }
+  /// Raise the counters to at least `ids` (after restore()).
+  void restore_id_counters(const IdCounters& ids) {
+    flows_.bump_next_id(ids.next_flow - 1);
+    classes_.restore_next_grant_id(ids.next_grant);
+  }
+  /// In-place ledger rebase: clear every link ledger (rates, buffers, EDF
+  /// buckets, knot caches, pre-filter mirrors) and re-book the per-flow,
+  /// macroflow and external records in ascending id order, exactly as
+  /// restore() does; the signaling-rate limiters restart full, as after a
+  /// restore. Afterwards the broker is bit-identical to restore() of its
+  /// own snapshot, without building one. Versions only move forward.
+  /// Self-check: each link's reserved rate and buffer are saved first and
+  /// must match the re-booked values within float re-summation slack;
+  /// kFailedPrecondition names the first link where the records did not
+  /// explain the ledger (a booking made behind the broker's back, which
+  /// the rebase has now dropped). kUnavailable while contingency grants
+  /// are live.
+  Status rebase_ledgers();
 
   /// Assemble the admissibility-test snapshot for a path (exposed for tests
   /// and benches that call the Section-3 algorithms directly). Allocation
@@ -257,6 +297,15 @@ class BandwidthBroker {
   /// everything and returns nullopt.
   std::optional<std::pair<PathId, std::vector<FlowId>>> try_preempt(
       const FlowServiceRequest& request, const std::vector<PathId>& candidates);
+
+  /// The snapshot body encoder (core/snapshot.cc), over a WireWriter, a
+  /// WireStream or a WireSizer.
+  template <typename Writer>
+  void encode_snapshot_body(Writer& w) const;
+  /// Clear every link ledger and book the records, in the canonical order
+  /// (restore and rebase_ledgers). Fails only when an external reservation
+  /// no longer fits.
+  Status rebook_ledgers();
 
   friend class ConcurrentBrokerFront;
 

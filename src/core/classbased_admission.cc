@@ -486,16 +486,8 @@ void ClassBasedManager::restore_macroflow(
                 "restore_macroflow: member count mismatch");
   QOSBB_REQUIRE(state.base_rate > 0.0 && state.microflows > 0,
                 "restore_macroflow: empty macroflow");
-  const ServiceClass& cls = service_class(state.service_class);
-  // A settled macroflow holds exactly its base rate (no grants survive a
-  // snapshot), its buffer offset + slope·base, and one EDF entry.
-  Status s = reserve_on_path(state.path, cls, state.base_rate,
-                             /*with_offset=*/true);
-  QOSBB_REQUIRE(s.is_ok(), "restore_macroflow: booking failed: " +
-                               s.message());
-  Status edf = swap_edf_entries(state.path, cls, 0.0, state.base_rate,
-                                paths_.record(state.path).l_path_max);
-  QOSBB_REQUIRE(edf.is_ok(), "restore_macroflow: EDF booking failed");
+  QOSBB_REQUIRE(classes_.contains(state.service_class),
+                "restore_macroflow: unknown class");
   MacroflowState restored = state;
   restored.buffer_offset_held = true;
   macroflows_.emplace(restored.id, restored);
@@ -506,6 +498,28 @@ void ClassBasedManager::restore_macroflow(
                       rec.path == restored.path,
                   "restore_macroflow: inconsistent microflow record");
     flows_.add(rec);
+  }
+}
+
+void ClassBasedManager::rebook_macroflows() {
+  QOSBB_REQUIRE(grants_.active_count() == 0,
+                "rebook_macroflows: live contingency grants");
+  std::vector<const MacroflowState*> order;
+  order.reserve(macroflows_.size());
+  for (const auto& [id, mf] : macroflows_) order.push_back(&mf);
+  std::sort(order.begin(), order.end(),
+            [](const MacroflowState* a, const MacroflowState* b) {
+              return a->id < b->id;
+            });
+  for (const MacroflowState* mf : order) {
+    const ServiceClass& cls = service_class(mf->service_class);
+    Status s = reserve_on_path(mf->path, cls, mf->base_rate,
+                               /*with_offset=*/true);
+    QOSBB_REQUIRE(s.is_ok(), "rebook_macroflows: booking failed: " +
+                                 s.message());
+    Status edf = swap_edf_entries(mf->path, cls, 0.0, mf->base_rate,
+                                  paths_.record(mf->path).l_path_max);
+    QOSBB_REQUIRE(edf.is_ok(), "rebook_macroflows: EDF booking failed");
   }
 }
 

@@ -139,10 +139,19 @@ class ClassBasedManager {
   // ---- Restore-only API (broker snapshot recovery). ----
   /// Re-register a class with its original id. Requires the id to be free.
   void restore_class(const ServiceClass& cls);
-  /// Re-install a settled macroflow (books its base rate, buffer, and EDF
-  /// entry on the path) together with its member microflow records.
+  /// Re-install a settled macroflow record together with its member
+  /// microflow records. Books nothing: rebook_macroflows does, once every
+  /// record is in.
   void restore_macroflow(const MacroflowState& state,
                          const std::vector<FlowRecord>& microflows);
+  /// Restore the grant-id counter (ContingencyManager::upcoming_id).
+  void restore_next_grant_id(GrantId id) { grants_.bump_next_id(id); }
+  GrantId next_grant_id() const { return grants_.upcoming_id(); }
+  /// Book every macroflow on cleared link ledgers, in ascending id order:
+  /// its base rate, its buffer (offset + slope·base) and one EDF entry. A
+  /// settled macroflow holds exactly that, so this requires no live
+  /// grants. Part of the broker's ledger rebase (restore and anchors).
+  void rebook_macroflows();
 
  private:
   struct PathGeometry {

@@ -589,11 +589,13 @@ Status ConcurrentBrokerFront::release_service(FlowId flow)
   --it->second;
   const std::vector<const LinkQosState*>& links =
       bb_.paths_.link_states(rec.value().path, bb_.store_.nodes());
-  AdmissionEngine::make_delta(path, links, rec.value().reservation,
-                              rec.value().profile, &t_delta_old);
   BitsPerSecond residual = 0.0;
   {
-    LinkStateStore::ShardLockSet sg(bb_.store_, t_delta_old);
+    // make_delta reads each link's state_version, which a concurrent
+    // try_commit writes under the shard lock: build the delta under it.
+    LinkStateStore::ShardLockSet sg(bb_.store_, links);
+    AdmissionEngine::make_delta(path, links, rec.value().reservation,
+                                rec.value().profile, &t_delta_old);
     bb_.store_.revert(t_delta_old);
     residual = residual_over(links);
   }
@@ -628,15 +630,16 @@ FrontOutcome ConcurrentBrokerFront::renegotiate_service(FlowId flow,
   const PathRecord& path = bb_.paths_.record(rec.value().path);
   const std::vector<const LinkQosState*>& links =
       bb_.paths_.link_states(rec.value().path, bb_.store_.nodes());
-  AdmissionEngine::make_delta(path, links, rec.value().reservation,
-                              rec.value().profile, &t_delta_old);
   AdmissionOutcome outcome;
   BitsPerSecond residual = 0.0;
   {
     // Whole-path shard lock set for the full withdraw-test-commit cycle:
     // renegotiation is made atomic against concurrent admits by locking,
     // not optimistically (its transient withdraw must never be observable).
+    // The delta is built under it too: make_delta reads state_version.
     LinkStateStore::ShardLockSet sg(bb_.store_, links);
+    AdmissionEngine::make_delta(path, links, rec.value().reservation,
+                                rec.value().profile, &t_delta_old);
     bb_.store_.revert(t_delta_old);
     bb_.store_.snapshot_path_locked(path, links, &t_snap);
     outcome = AdmissionEngine::test(t_snap, rec.value().profile,

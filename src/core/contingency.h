@@ -18,6 +18,7 @@
 #ifndef QOSBB_CORE_CONTINGENCY_H_
 #define QOSBB_CORE_CONTINGENCY_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -66,6 +67,11 @@ class ContingencyManager {
   Seconds max_event_edge_bound(FlowId macroflow) const;
   std::size_t active_count() const { return grants_.size(); }
   bool has_grants(FlowId macroflow) const;
+  /// The id the next grant gets (serialized in broker snapshots, so grant
+  /// ids are never reused across a restore).
+  GrantId upcoming_id() const { return next_id_; }
+  /// Ensure future ids are at least `id` (snapshot restore).
+  void bump_next_id(GrantId id) { next_id_ = std::max(next_id_, id); }
 
  private:
   std::unordered_map<GrantId, ContingencyGrant> grants_;

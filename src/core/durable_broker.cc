@@ -319,7 +319,8 @@ DurableBroker::DurableBroker(const DomainSpec& spec,
       broker_options_(broker_options),
       options_(options),
       file_(file),
-      bb_(std::make_unique<BandwidthBroker>(spec, broker_options)) {}
+      bb_(std::make_unique<BandwidthBroker>(spec, broker_options)),
+      window_cap_(options.dedup_window) {}
 
 Result<std::unique_ptr<DurableBroker>> DurableBroker::open(
     const DomainSpec& spec, const BrokerOptions& broker_options,
@@ -336,8 +337,11 @@ Result<std::unique_ptr<DurableBroker>> DurableBroker::open(
     if (Status s = db->load_anchor(scan.records.front()); !s.is_ok()) {
       return s;
     }
+    db->anchor_bytes_ =
+        journal_record_size(scan.records.front().payload.size());
     start = 1;
   }
+  db->tail_bytes_ = scan.clean_bytes - db->anchor_bytes_;
   for (std::size_t i = start; i < scan.records.size(); ++i) {
     const JournalRecord& rec = scan.records[i];
     if (rec.kind == JournalOpKind::kAnchor) {
@@ -347,10 +351,10 @@ Result<std::unique_ptr<DurableBroker>> DurableBroker::open(
     if (Status s = db->replay_record(rec); !s.is_ok()) return s;
     db->next_lsn_ = rec.lsn + 1;
     ++db->stats_.replayed;
-    ++db->records_since_anchor_;
   }
   db->recovered_order_ = std::move(db->window_order_);
   db->window_order_.clear();
+  db->window_cap_ = options.dedup_window;
   db->open_front();
   // A torn tail holds no acknowledged data — drop it so future appends
   // extend the clean prefix instead of a partial record.
@@ -388,7 +392,7 @@ void DurableBroker::remember(RequestId rid, JournalOpKind kind,
   it->second = Decision{kind, std::move(outcome)};
   if (inserted) {
     window_order_.push_back(rid);
-    while (window_order_.size() > options_.dedup_window) {
+    while (window_order_.size() > window_cap_) {
       window_.erase(window_order_.front());
       window_order_.pop_front();
     }
@@ -406,54 +410,84 @@ Status DurableBroker::log_decision(RequestId rid, JournalOpKind kind,
   if (Status s = file_.append(frame_.bytes()); !s.is_ok()) return s;
   ++next_lsn_;
   ++stats_.appended;
-  ++records_since_anchor_;
+  tail_bytes_ += frame_.bytes().size();
   remember(rid, kind, outcome);
   maybe_anchor();
   return Status::ok();
 }
 
 void DurableBroker::maybe_anchor() {
-  if (options_.anchor_every > 0 &&
-      records_since_anchor_ >= options_.anchor_every &&
-      bb_->classes().active_grants() == 0) {
+  const std::uint64_t threshold =
+      std::max(kAnchorGrowth * anchor_bytes_, kAnchorFloorBytes);
+  if (tail_bytes_ >= threshold && bb_->classes().active_grants() == 0) {
     // best-effort: the un-anchored log stays valid
     (void)checkpoint();  // qosbb-lint: allow(discarded-status)
   }
 }
 
 Status DurableBroker::checkpoint() {
-  auto frame = bb_->snapshot();
-  if (!frame.is_ok()) return frame.status();  // kUnavailable when live grants
-  WireWriter p;
-  p.bytes(frame.value());
-  p.u32(static_cast<std::uint32_t>(recovered_order_.size() +
-                                    window_order_.size()));
-  for (const auto* order : {&recovered_order_, &window_order_}) {
-    for (RequestId rid : *order) {
-      const Decision& d = window_.at(rid);
-      p.u64(rid);
-      p.u8(static_cast<std::uint8_t>(d.kind));
-      p.bytes(d.outcome);
-    }
+  if (bb_->classes().active_grants() != 0) {
+    return Status::unavailable(
+        "checkpoint requires a quiescent broker (active contingency "
+        "grants); retry after the grants settle");
   }
-  const WireBuffer rec =
-      frame_journal_record(next_lsn_, JournalOpKind::kAnchor, p.take());
-  if (Status s = file_.replace(rec); !s.is_ok()) return s;
+  // The decisions the anchor keeps: the newest dedup_window recovered ones,
+  // then the window.
+  const auto recovered_from =
+      recovered_order_.end() -
+      static_cast<long>(
+          std::min(recovered_order_.size(), options_.dedup_window));
+  auto for_each_kept = [&](auto&& visit) {
+    for (auto it = recovered_from; it != recovered_order_.end(); ++it) {
+      visit(*it, window_.at(*it));
+    }
+    for (RequestId rid : window_order_) visit(rid, window_.at(rid));
+  };
+  // Payload: bytes(snapshot frame) u32 count { u64 rid, u8 kind,
+  // bytes(outcome) } i64 next_flow i64 next_grant. Sized up front so the
+  // record header can go first.
+  std::uint32_t count = 0;
+  std::size_t decisions_size = 0;
+  for_each_kept([&](RequestId, const Decision& d) {
+    ++count;
+    decisions_size += 8 + 1 + 4 + d.outcome.size();
+  });
+  const std::size_t frame_size = bb_->snapshot_size();
+  const std::size_t payload_size =
+      4 + frame_size + 4 + decisions_size + 8 + 8;
+  const BandwidthBroker::IdCounters ids = bb_->id_counters();
+  const std::uint64_t lsn = next_lsn_;
+  Status written = file_.replace_streamed([&](JournalImageWriter& out) {
+    JournalRecordStream record(out, lsn, JournalOpKind::kAnchor,
+                               payload_size);
+    WireStream w([&record](std::span<const std::uint8_t> chunk) {
+      return record.write_bytes(chunk);
+    });
+    w.u32(static_cast<std::uint32_t>(frame_size));
+    bb_->write_snapshot(w, frame_size);
+    w.u32(count);
+    for_each_kept([&](RequestId rid, const Decision& d) {
+      w.u64(rid);
+      w.u8(static_cast<std::uint8_t>(d.kind));
+      w.u32(static_cast<std::uint32_t>(d.outcome.size()));
+      w.raw(d.outcome);
+    });
+    w.i64(ids.next_flow);
+    w.i64(ids.next_grant);
+    if (Status s = w.flush(); !s.is_ok()) return s;
+    return record.finish();
+  });
+  if (!written.is_ok()) return written;
   ++next_lsn_;
   ++stats_.checkpoints;
-  records_since_anchor_ = 0;
-  // Swap in the restored image: post-anchor live state is then bit-equal to
-  // what recovery reconstructs from this anchor.
-  auto restored = BandwidthBroker::restore(spec_, broker_options_,
-                                           frame.value());
-  if (!restored.is_ok()) {
-    return Status::internal("checkpoint: snapshot failed to restore: " +
-                            restored.status().to_string());
-  }
+  anchor_bytes_ = journal_record_size(payload_size);
+  tail_bytes_ = 0;
+  // Rebase the live ledgers onto the records the anchor holds: post-anchor
+  // live state is then bit-equal to what recovery reconstructs from it.
   front_.reset();
-  bb_ = std::move(restored.value());
+  const Status rebased = bb_->rebase_ledgers();
   open_front();
-  return Status::ok();
+  return rebased;
 }
 
 Status DurableBroker::load_anchor(const JournalRecord& rec) {
@@ -472,6 +506,11 @@ Status DurableBroker::load_anchor(const JournalRecord& rec) {
   if (count.value() > (1u << 22)) {
     return Status::data_loss("journal: absurd dedup window in anchor");
   }
+  // The anchor's decisions all load — its first ones are those an earlier
+  // crash recovered, and a full window behind them must not evict them —
+  // and the tail then pushes them out oldest first only once it has
+  // dedup_window decisions of its own.
+  window_cap_ = options_.dedup_window + count.value();
   for (std::uint32_t i = 0; i < count.value(); ++i) {
     auto rid = r.u64();
     auto kind = r.u8();
@@ -487,6 +526,12 @@ Status DurableBroker::load_anchor(const JournalRecord& rec) {
     remember(rid.value(), static_cast<JournalOpKind>(kind.value()),
              std::move(outcome.value()));
   }
+  auto next_flow = r.i64();
+  auto next_grant = r.i64();
+  for (const Status& s : {next_flow.status(), next_grant.status()}) {
+    if (!s.is_ok()) return as_data_loss(s, rec.lsn);
+  }
+  bb_->restore_id_counters({next_flow.value(), next_grant.value()});
   if (!r.exhausted()) {
     return Status::data_loss("journal: trailing bytes in anchor record");
   }
@@ -628,7 +673,7 @@ void DurableBroker::execute_batch(std::span<const SlabOp> ops, Seconds now,
   }
   next_lsn_ += n;
   stats_.appended += n;
-  records_since_anchor_ += n;
+  tail_bytes_ += frame_.bytes().size();
   for (std::size_t k = 0; k < n; ++k) {
     const SlabOp& op = ops[fresh_[k]];
     remember(op.rid, kind_of(op), std::move(encoded_[k]));

@@ -23,12 +23,26 @@
 // rebuilt from the tail on recovery, so a retry that straddles a crash is
 // still recognized.
 //
-// Checkpointing swaps the live broker for its own restored snapshot (and
-// opens a new front over it). That sounds redundant, but it pins the float
-// state: post-anchor execution then starts from bit-exactly the state
-// recovery will reconstruct, which is what lets the fault-injection
-// harness (tools/fuzz_harness.h) demand exact equality between a
-// crashed-and-recovered broker and the live one.
+// Anchors bound recovery by live state, not uptime. Once the bytes appended
+// since the last anchor reach kAnchorGrowth (4) times that anchor's size,
+// or kAnchorFloorBytes (1 MiB) if that is more, the next append is followed
+// by an anchor: the journal is replaced by ONE kAnchor record (snapshot +
+// dedup decisions) whose LSN continues the sequence. Anchor writes thus
+// add at most 1/kAnchorGrowth = 25% to the bytes written, and a restart
+// replays a tail of at most about 4× the live state plus one slab. While
+// §4 contingency grants are live the anchor is skipped and retried on a
+// later append.
+//
+// An anchor holds no second broker image and no in-memory copy of its
+// record: the record streams into the journal's temp file through one
+// fixed-size WireStream chunk (JournalFile::replace_streamed), and after
+// the rename the live broker rebases its ledgers in place
+// (BandwidthBroker::rebase_ledgers): every link ledger is cleared and
+// re-booked from the flow records in canonical order, which is exactly how
+// restore() books the anchor's snapshot. Post-anchor execution therefore
+// starts from bit-exactly the state recovery reconstructs, which is what
+// lets the fault-injection harness (tools/fuzz_harness.h) demand exact
+// equality between a crashed-and-recovered broker and the live one.
 
 #ifndef QOSBB_CORE_DURABLE_BROKER_H_
 #define QOSBB_CORE_DURABLE_BROKER_H_
@@ -58,12 +72,8 @@ struct DurableBrokerOptions {
   /// its decision was evicted re-executes as a fresh request — size the
   /// window to dominate the client retry horizon. The decisions recovered
   /// by open() are kept on top of this for the broker's lifetime (see
-  /// `recovered_order_`), so a restarted broker remembers up to twice as
-  /// many.
+  /// `recovered_order_`): up to 3 × dedup_window after an anchor.
   std::size_t dedup_window = 4096;
-  /// Auto-checkpoint after this many appended records (0 = manual only).
-  /// Skipped while the broker is non-quiescent; retried on later appends.
-  std::uint64_t anchor_every = 0;
 };
 
 struct DurableBrokerStats {
@@ -75,6 +85,11 @@ struct DurableBrokerStats {
 
 class DurableBroker {
  public:
+  /// The anchor rule (see the header comment): anchor once the tail
+  /// reaches max(kAnchorGrowth × the last anchor's size, kAnchorFloorBytes).
+  static constexpr std::uint64_t kAnchorGrowth = 4;
+  static constexpr std::uint64_t kAnchorFloorBytes = 1 << 20;
+
   /// Open = recover: scan `file`, load the anchor (or start from genesis),
   /// re-execute the tail, truncate any torn tail. The file reference must
   /// outlive the broker. Fails with kDataLoss on a corrupt log or a replay
@@ -162,10 +177,13 @@ class DurableBroker {
   Status expire_contingency(GrantId grant, Seconds now);
   Status edge_buffer_empty(FlowId macroflow, Seconds now);
 
-  /// Anchor checkpoint: snapshot + dedup window into one kAnchor record,
-  /// atomically replacing the journal, then swap the live broker for the
-  /// restored image (see the header comment). kUnavailable while
-  /// contingency grants are live.
+  /// Anchor checkpoint: snapshot + dedup decisions streamed into one
+  /// kAnchor record that atomically replaces the journal, then the live
+  /// ledgers are rebased in place (see the header comment). The anchor
+  /// keeps the window and the newest dedup_window recovered decisions.
+  /// kUnavailable while contingency grants are live; kFailedPrecondition
+  /// if the rebase found ledger state the records did not explain (the
+  /// anchor is written, and the live broker now matches it).
   Status checkpoint();
 
   /// The underlying broker (read-mostly access: MIBs, oracle checks).
@@ -175,6 +193,10 @@ class DurableBroker {
   const BandwidthBroker& broker() const { return *bb_; }
 
   std::uint64_t next_lsn() const { return next_lsn_; }
+  /// Size of the anchor record at the journal's head (0 before the first).
+  std::uint64_t anchor_bytes() const { return anchor_bytes_; }
+  /// Journal bytes after the anchor: what a restart now replays.
+  std::uint64_t tail_bytes() const { return tail_bytes_; }
   const DurableBrokerStats& stats() const { return stats_; }
   const DurableBrokerOptions& options() const { return options_; }
   /// True if `rid` currently has a recorded decision in the dedup window.
@@ -202,16 +224,18 @@ class DurableBroker {
   /// rid field for client ops.
   Status log_decision(RequestId rid, JournalOpKind kind,
                       const WireBuffer& request, const WireBuffer& outcome);
-  /// Open the front over the current broker (after recovery, and after a
-  /// checkpoint swapped the broker).
+  /// Open the front over the broker (after recovery, and after a
+  /// checkpoint rebased the ledgers).
   void open_front();
-  /// Auto-anchor once anchor_every records have accumulated (best effort).
+  /// Anchor once the tail has reached the anchor rule's threshold and no
+  /// contingency grant is live (best effort; retried on later appends).
   void maybe_anchor();
   void remember(RequestId rid, JournalOpKind kind, WireBuffer outcome);
   /// Re-execute one tail record against the recovering broker and verify
   /// the recorded outcome byte-for-byte.
   Status replay_record(const JournalRecord& rec);
-  /// Load an anchor record: snapshot -> broker, serialized window -> dedup.
+  /// Load an anchor record: snapshot -> broker, decisions -> dedup (none
+  /// evicted at load; see window_cap_).
   Status load_anchor(const JournalRecord& rec);
 
   DomainSpec spec_;
@@ -223,14 +247,22 @@ class DurableBroker {
   /// first. Null while open() replays.
   std::unique_ptr<ConcurrentBrokerFront> front_;
   std::uint64_t next_lsn_ = 1;
-  std::uint64_t records_since_anchor_ = 0;
+  std::uint64_t anchor_bytes_ = 0;
+  std::uint64_t tail_bytes_ = 0;
   std::unordered_map<RequestId, Decision> window_;
   std::deque<RequestId> window_order_;  ///< FIFO eviction order
+  /// FIFO capacity of window_order_: dedup_window, except while open()
+  /// replays after an anchor, when it is dedup_window plus the anchor's
+  /// decision count, so that the anchor's decisions all load and the tail
+  /// evicts them, oldest first, only past dedup_window decisions of its
+  /// own.
+  std::size_t window_cap_;
   /// Decisions recovered by open(), exempt from FIFO eviction. The crash
   /// before a restart can lose the acknowledgements of the last decisions
   /// it journaled; their clients retry after a backoff, while the rest of
   /// the load resumes at full speed and would otherwise push them out of
-  /// the window before the retry lands.
+  /// the window before the retry lands. An anchor keeps the newest
+  /// dedup_window of them, so repeated crashes do not grow the set.
   std::deque<RequestId> recovered_order_;
   DurableBrokerStats stats_;
 

@@ -32,6 +32,9 @@ class FlowMib {
  public:
   /// Allocate a fresh flow id (monotone; never reused).
   FlowId next_id() { return next_id_++; }
+  /// The id next_id() hands out next, without allocating it (serialized in
+  /// broker snapshots so a restore never reuses a released flow's id).
+  FlowId upcoming_id() const { return next_id_; }
   /// Ensure future ids start after `id` (snapshot restore with preserved
   /// ids).
   void bump_next_id(FlowId id) {

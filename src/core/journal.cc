@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstdio>
@@ -20,16 +21,26 @@ constexpr std::size_t kRegionPrefixSize = 9;
 /// domain is far below this; anything larger is corruption).
 constexpr std::uint32_t kMaxRegionSize = 1u << 28;
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: t[0] is the classic byte table; t[k][b] is the CRC
+/// contribution of byte b followed by k zero bytes, so eight input bytes
+/// fold into the CRC with eight independent lookups per step.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
 std::uint32_t read_u32le(const std::uint8_t* p) {
@@ -67,12 +78,26 @@ const char* journal_op_kind_name(JournalOpKind k) {
   return "?";
 }
 
+std::size_t journal_record_size(std::size_t payload_len) {
+  return kRecordHeaderSize + kRegionPrefixSize + payload_len;
+}
+
 std::uint32_t journal_crc32(const std::uint8_t* data, std::size_t n) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  return journal_crc32_extend(0, data, n);
+}
+
+std::uint32_t journal_crc32_extend(std::uint32_t crc, const std::uint8_t* data,
+                                   std::size_t n) {
+  static const CrcTables t = make_crc_tables();
+  std::uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (; n >= 8; data += 8, n -= 8) {
+    const std::uint32_t lo = c ^ read_u32le(data);
+    const std::uint32_t hi = read_u32le(data + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++data, --n) c = t[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -109,6 +134,48 @@ WireBuffer frame_journal_record(std::uint64_t lsn, JournalOpKind kind,
   frame.open_record(lsn, kind).raw(payload);
   frame.close_record();
   return frame.take();
+}
+
+JournalRecordStream::JournalRecordStream(JournalImageWriter& out,
+                                         std::uint64_t lsn,
+                                         JournalOpKind kind,
+                                         std::size_t payload_len)
+    : out_(out), region_len_(kRegionPrefixSize + payload_len) {
+  if (region_len_ > kMaxRegionSize) {
+    status_ = Status::invalid_argument("journal: record too large");
+    return;
+  }
+  const auto len = static_cast<std::uint32_t>(region_len_);
+  WireWriter head;
+  head.u32(len);
+  head.u32(~len);
+  head.u32(0);  // CRC, patched by finish()
+  status_ = out_.write_bytes(head.buffer());
+  WireWriter prefix;
+  prefix.u64(lsn);
+  prefix.u8(static_cast<std::uint8_t>(kind));
+  if (status_.is_ok()) status_ = write_bytes(prefix.buffer());
+}
+
+Status JournalRecordStream::write_bytes(
+    std::span<const std::uint8_t> payload) {
+  if (!status_.is_ok()) return status_;
+  crc_ = journal_crc32_extend(crc_, payload.data(), payload.size());
+  written_ += payload.size();
+  status_ = out_.write_bytes(payload);
+  return status_;
+}
+
+Status JournalRecordStream::finish() {
+  if (!status_.is_ok()) return status_;
+  if (written_ != region_len_) {
+    return Status::internal("journal: streamed record is " +
+                            std::to_string(written_) + " bytes, header says " +
+                            std::to_string(region_len_));
+  }
+  WireWriter crc;
+  crc.u32(crc_);
+  return out_.patch(8, crc.buffer());
 }
 
 JournalScan scan_journal(const WireBuffer& bytes) {
@@ -186,6 +253,28 @@ Status MemoryJournalFile::replace(const WireBuffer& bytes) {
   return Status::ok();
 }
 
+// ---- JournalFile ----
+
+Status JournalFile::replace_streamed(const JournalImageProducer& produce) {
+  struct BufferWriter final : JournalImageWriter {
+    WireBuffer image;
+    Status write_bytes(std::span<const std::uint8_t> bytes) override {
+      image.insert(image.end(), bytes.begin(), bytes.end());
+      return Status::ok();
+    }
+    Status patch(std::size_t offset,
+                 std::span<const std::uint8_t> bytes) override {
+      QOSBB_REQUIRE(offset + bytes.size() <= image.size(),
+                    "journal image patch past the end");
+      std::copy(bytes.begin(), bytes.end(),
+                image.begin() + static_cast<long>(offset));
+      return Status::ok();
+    }
+  } writer;
+  if (Status s = produce(writer); !s.is_ok()) return s;
+  return replace(writer.image);
+}
+
 // ---- FsJournalFile ----
 
 FsJournalFile::~FsJournalFile() { close_fd(); }
@@ -235,22 +324,63 @@ Result<WireBuffer> FsJournalFile::read_all() const {
 }
 
 Status FsJournalFile::replace(const WireBuffer& bytes) {
+  return replace_streamed(
+      [&](JournalImageWriter& out) { return out.write_bytes(bytes); });
+}
+
+Status FsJournalFile::replace_streamed(const JournalImageProducer& produce) {
   const std::string tmp = path_ + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::internal("journal: cannot open " + tmp);
+  // O_TRUNC: a crash mid-anchor leaves a stale temp file; this one
+  // overwrites it.
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    return Status::internal("journal: cannot open " + tmp + ": " +
+                            std::strerror(errno));
   }
-  const std::size_t written =
-      bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != bytes.size() || !flushed) {
-    std::remove(tmp.c_str());
-    return Status::internal("journal: short write to " + tmp);
+  class FdWriter final : public JournalImageWriter {
+   public:
+    FdWriter(int fd, const std::string& name) : fd_(fd), name_(name) {}
+    Status write_bytes(std::span<const std::uint8_t> bytes) override {
+      return write_at(bytes, -1);
+    }
+    Status patch(std::size_t offset,
+                 std::span<const std::uint8_t> bytes) override {
+      return write_at(bytes, static_cast<off_t>(offset));
+    }
+
+   private:
+    /// write(2) loop (offset < 0) or pwrite(2) loop at `offset`.
+    Status write_at(std::span<const std::uint8_t> bytes, off_t offset) {
+      const std::uint8_t* p = bytes.data();
+      std::size_t left = bytes.size();
+      while (left > 0) {
+        const ssize_t n = offset < 0 ? ::write(fd_, p, left)
+                                     : ::pwrite(fd_, p, left, offset);
+        if (n < 0) {
+          if (errno == EINTR) continue;
+          return Status::internal("journal: write to " + name_ +
+                                  " failed: " + std::strerror(errno));
+        }
+        p += n;
+        left -= static_cast<std::size_t>(n);
+        if (offset >= 0) offset += n;
+      }
+      return Status::ok();
+    }
+    int fd_;
+    const std::string& name_;
+  } writer(fd, tmp);
+  Status s = produce(writer);
+  if (::close(fd) != 0 && s.is_ok()) {
+    s = Status::internal("journal: close failed for " + tmp);
   }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
+  if (s.is_ok() && std::rename(tmp.c_str(), path_.c_str()) != 0) {
+    s = Status::internal("journal: rename failed for " + path_);
+  }
+  if (!s.is_ok()) {
     std::remove(tmp.c_str());
-    return Status::internal("journal: rename failed for " + path_);
+    return s;
   }
   // The descriptor names the replaced file; the next append opens the new
   // one.

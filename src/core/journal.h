@@ -36,6 +36,8 @@
 #define QOSBB_CORE_JOURNAL_H_
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,6 +71,24 @@ struct JournalRecord {
   WireBuffer payload;
 };
 
+/// Receives a replacement journal image in pieces
+/// (JournalFile::replace_streamed).
+class JournalImageWriter {
+ public:
+  /// Append bytes to the image.
+  virtual Status write_bytes(std::span<const std::uint8_t> bytes) = 0;
+  /// Overwrite bytes already written, starting at `offset` (a header that
+  /// is only known once the bytes after it are written).
+  virtual Status patch(std::size_t offset,
+                       std::span<const std::uint8_t> bytes) = 0;
+
+ protected:
+  ~JournalImageWriter() = default;
+};
+
+/// Writes a replacement image; a non-OK return abandons it.
+using JournalImageProducer = std::function<Status(JournalImageWriter&)>;
+
 /// Storage abstraction under the journal. Implementations must make
 /// `append` durable before returning (the broker acknowledges a request
 /// only after its record's append returns OK; FsJournalFile states what
@@ -84,6 +104,12 @@ class JournalFile {
   virtual Status append(const WireBuffer& bytes) = 0;
   virtual Result<WireBuffer> read_all() const = 0;
   virtual Status replace(const WireBuffer& bytes) = 0;
+  /// `replace` with the new image written in pieces by `produce`: when it
+  /// returns OK the image atomically replaces the journal; when it fails,
+  /// the journal is untouched and its error is returned. This default
+  /// collects the image in memory and calls `replace`; FsJournalFile
+  /// streams it to disk instead.
+  virtual Status replace_streamed(const JournalImageProducer& produce);
 };
 
 /// In-memory journal backing (tests, fuzzing, benches).
@@ -106,11 +132,13 @@ class MemoryJournalFile : public JournalFile {
 ///
 /// Durability contract: `append` returns once write(2) has taken every
 /// byte. The bytes are then in the kernel's page cache and survive a crash
-/// of this process (SIGKILL included) but not a power loss: there is no
-/// fsync, before or after. `replace` writes a temp file and renames it over
-/// the path, so an anchor is atomic at the fs level; it then closes the
-/// descriptor, which still names the old, unlinked file, and the next
-/// `append` opens the new one.
+/// of this process (SIGKILL included) but not a kernel crash or a power
+/// loss: there is no fsync, before or after, in `append` or `replace`.
+/// `replace` and `replace_streamed` write `<path>.tmp` (truncating any
+/// stale one a crash left behind) and rename it over the path, so an
+/// anchor is atomic at the fs level: a crash before the rename leaves the
+/// old journal whole. They then close the append descriptor, which still
+/// names the old, unlinked file, and the next `append` opens the new one.
 ///
 /// Single writer per path: at most one FsJournalFile may append to a path
 /// at a time. A second writer's descriptor would outlive the first one's
@@ -124,6 +152,7 @@ class FsJournalFile : public JournalFile {
   Status append(const WireBuffer& bytes) override;
   Result<WireBuffer> read_all() const override;
   Status replace(const WireBuffer& bytes) override;
+  Status replace_streamed(const JournalImageProducer& produce) override;
 
   const std::string& path() const { return path_; }
 
@@ -164,8 +193,36 @@ class JournalFrameWriter {
   bool open_ = false;
 };
 
+/// Streams ONE record, the first of a replacement image, whose payload is
+/// produced in pieces (an anchor, which is never framed whole in memory).
+/// The constructor writes the header with the final len/~len and a zero
+/// CRC, plus the LSN and kind; `write_bytes` passes payload bytes through
+/// and extends the CRC; `finish` checks that exactly `payload_len` bytes
+/// came and patches the CRC into the header.
+class JournalRecordStream {
+ public:
+  JournalRecordStream(JournalImageWriter& out, std::uint64_t lsn,
+                      JournalOpKind kind, std::size_t payload_len);
+  Status write_bytes(std::span<const std::uint8_t> payload);
+  Status finish();
+
+ private:
+  JournalImageWriter& out_;
+  std::size_t region_len_ = 0;
+  std::size_t written_ = 0;  ///< region bytes so far (LSN and kind included)
+  std::uint32_t crc_ = 0;
+  Status status_ = Status::ok();
+};
+
+/// Bytes one framed record with a `payload_len`-byte payload takes.
+std::size_t journal_record_size(std::size_t payload_len);
+
 /// CRC-32 (ISO-HDLC polynomial, reflected — the zlib/PNG CRC).
 std::uint32_t journal_crc32(const std::uint8_t* data, std::size_t n);
+/// The CRC of `crc`'s input followed by `data`: extending 0 piece by piece
+/// gives journal_crc32 of the concatenation.
+std::uint32_t journal_crc32_extend(std::uint32_t crc, const std::uint8_t* data,
+                                   std::size_t n);
 
 /// Frame one record (see the layout above). Infallible.
 WireBuffer frame_journal_record(std::uint64_t lsn, JournalOpKind kind,

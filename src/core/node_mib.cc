@@ -147,6 +147,18 @@ void LinkQosState::release(BitsPerSecond r) {
   ++state_version_;
 }
 
+void LinkQosState::clear_ledger() {
+  reserved_ = 0.0;
+  buffer_reserved_ = 0.0;
+  flows_ = 0;
+  opt_reserved_.store(0.0, std::memory_order_relaxed);
+  opt_buffer_reserved_.store(0.0, std::memory_order_relaxed);
+  edf_.clear();
+  knots_dirty_ = true;
+  ++rate_version_;
+  ++state_version_;
+}
+
 void LinkQosState::note_flow_removed() {
   QOSBB_REQUIRE(flows_ > 0, "LinkQosState: flow count underflow");
   --flows_;
@@ -290,6 +302,10 @@ const LinkQosState& NodeMib::link(const std::string& name) const {
   auto it = links_.find(name);
   QOSBB_REQUIRE(it != links_.end(), "NodeMib: unknown link " + name);
   return it->second;
+}
+
+void NodeMib::clear_ledgers() {
+  for (auto& [name, link] : links_) link.clear_ledger();
 }
 
 BitsPerSecond NodeMib::total_reserved() const {

@@ -140,6 +140,13 @@ class LinkQosState {
     return opt_buffer_reserved_.load(std::memory_order_relaxed);
   }
 
+  /// Drop every reservation: reserved rate and buffer, flow count and EDF
+  /// entries (the knot cache rebuilds lazily, empty). The versions are
+  /// bumped, never reset, so OCC validation and path caches see a change.
+  /// The first step of the broker's ledger rebase, which re-books every
+  /// reservation from the flow records right after.
+  void clear_ledger();
+
   /// Install / remove a delay-based reservation entry ⟨r, d, L⟩. Valid only
   /// on delay-based links; `reserve`/`release` must be called separately
   /// (the broker's bookkeeping keeps both in sync).
@@ -243,6 +250,8 @@ class NodeMib {
 
   /// Sum of reserved bandwidth across all links (diagnostics).
   BitsPerSecond total_reserved() const;
+  /// LinkQosState::clear_ledger on every link.
+  void clear_ledgers();
 
  private:
   std::unordered_map<std::string, LinkQosState> links_;

@@ -12,12 +12,15 @@
 //   u32 class_count     { class fields }            per service class
 //   u32 macroflow_count { state + members }         per settled macroflow
 //   u32 external_count  { str link, f64 amount }    out-of-band reservations
+// Records go out in ascending id order (links by name), so equal states
+// encode to equal bytes whatever their history.
 // Snapshot requires quiescence (no live contingency grants; kUnavailable
 // otherwise): transients reference wall-clock timers that cannot be
-// checkpointed consistently. Before returning, the frame is verified by a
-// scratch restore — link state the records cannot explain (e.g. leases
-// booked directly on the node MIB) fails loudly with kFailedPrecondition
-// instead of silently emitting a partial snapshot.
+// checkpointed consistently. snapshot() verifies the frame by a scratch
+// restore — link state the records cannot explain (e.g. leases booked
+// directly on the node MIB) fails loudly with kFailedPrecondition instead
+// of silently emitting a partial snapshot. The journal's anchors use
+// write_snapshot and rebase_ledgers instead, which keep no second image.
 
 #include <algorithm>
 #include <cmath>
@@ -28,7 +31,8 @@
 namespace qosbb {
 namespace {
 
-void put_profile(WireWriter& w, const TrafficProfile& p) {
+template <typename Writer>
+void put_profile(Writer& w, const TrafficProfile& p) {
   w.f64(p.sigma);
   w.f64(p.rho);
   w.f64(p.peak);
@@ -52,7 +56,8 @@ Result<TrafficProfile> get_profile(WireReader& r) {
                               l_max.value());
 }
 
-void put_nodes(WireWriter& w, const std::vector<std::string>& nodes) {
+template <typename Writer>
+void put_nodes(Writer& w, const std::vector<std::string>& nodes) {
   w.u32(static_cast<std::uint32_t>(nodes.size()));
   for (const auto& n : nodes) w.str(n);
 }
@@ -73,18 +78,38 @@ Result<std::vector<std::string>> get_nodes(WireReader& r) {
   return nodes;
 }
 
+/// Envelope head: magic, version, type, body length.
+constexpr std::size_t kSnapshotHeadSize = 8;
+
+template <typename Writer>
+void put_head(Writer& w, std::size_t body_size) {
+  w.u16(kWireMagic);
+  w.u8(kWireVersion);
+  w.u8(static_cast<std::uint8_t>(MessageType::kBrokerSnapshot));
+  w.u32(static_cast<std::uint32_t>(body_size));
+}
+
+/// Float re-summation slack between a ledger and its re-booked image.
+bool within_resum_tolerance(double a, double b) {
+  constexpr double kResumTol = 1e-6;
+  return std::abs(a - b) <= kResumTol;
+}
+
+Status ledger_explained(const LinkQosState& live, const LinkQosState& redo) {
+  if (within_resum_tolerance(live.reserved(), redo.reserved()) &&
+      within_resum_tolerance(live.buffer_reserved(), redo.buffer_reserved())) {
+    return Status::ok();
+  }
+  return Status::failed_precondition(
+      "snapshot would lose state on link " + live.name() +
+      ": live reservation not explained by the flow/class/external "
+      "records (out-of-band booking?)");
+}
+
 }  // namespace
 
-Result<std::vector<std::uint8_t>> BandwidthBroker::snapshot() const {
-  if (classes_.active_grants() != 0) {
-    // kUnavailable, not kFailedPrecondition: the condition is transient —
-    // the caller should settle/expire the grants and retry, nothing about
-    // the request itself is wrong.
-    return Status::unavailable(
-        "snapshot requires a quiescent broker (active contingency grants); "
-        "retry after the grants settle");
-  }
-  WireWriter w;
+template <typename Writer>
+void BandwidthBroker::encode_snapshot_body(Writer& w) const {
   // Paths (by id order; ids are dense).
   w.u32(static_cast<std::uint32_t>(paths_.path_count()));
   for (PathId id = 0; id < static_cast<PathId>(paths_.path_count()); ++id) {
@@ -96,9 +121,7 @@ Result<std::vector<std::uint8_t>> BandwidthBroker::snapshot() const {
   for (const auto& [id, rec] : flows_.all()) {
     (rec.kind == FlowKind::kPerFlow ? per_flow : micro).push_back(&rec);
   }
-  auto by_id = [](const FlowRecord* a, const FlowRecord* b) {
-    return a->id < b->id;
-  };
+  auto by_id = [](const auto* a, const auto* b) { return a->id < b->id; };
   std::sort(per_flow.begin(), per_flow.end(), by_id);
   std::sort(micro.begin(), micro.end(), by_id);
   w.u32(static_cast<std::uint32_t>(per_flow.size()));
@@ -120,18 +143,22 @@ Result<std::vector<std::uint8_t>> BandwidthBroker::snapshot() const {
     w.f64(cls.delay_param);
     w.str(cls.name);
   }
-  // Macroflows with their member microflows.
-  w.u32(static_cast<std::uint32_t>(classes_.all_macroflows().size()));
-  for (const auto& [id, mf] : classes_.all_macroflows()) {
-    w.i64(mf.id);
-    w.i64(mf.service_class);
-    w.i64(mf.path);
-    put_profile(w, mf.aggregate);
-    w.f64(mf.base_rate);
-    w.f64(mf.core_bound_in_effect);
+  // Macroflows with their member microflows (sorted by id).
+  std::vector<const MacroflowState*> macro;
+  macro.reserve(classes_.all_macroflows().size());
+  for (const auto& [id, mf] : classes_.all_macroflows()) macro.push_back(&mf);
+  std::sort(macro.begin(), macro.end(), by_id);
+  w.u32(static_cast<std::uint32_t>(macro.size()));
+  for (const MacroflowState* mf : macro) {
+    w.i64(mf->id);
+    w.i64(mf->service_class);
+    w.i64(mf->path);
+    put_profile(w, mf->aggregate);
+    w.f64(mf->base_rate);
+    w.f64(mf->core_bound_in_effect);
     std::vector<const FlowRecord*> members;
     for (const FlowRecord* rec : micro) {
-      if (rec->service_class == mf.service_class && rec->path == mf.path) {
+      if (rec->service_class == mf->service_class && rec->path == mf->path) {
         members.push_back(rec);
       }
     }
@@ -150,12 +177,35 @@ Result<std::vector<std::uint8_t>> BandwidthBroker::snapshot() const {
     w.str(link);
     w.f64(amount);
   }
+}
 
+std::size_t BandwidthBroker::snapshot_size() const {
+  WireSizer sizer;
+  encode_snapshot_body(sizer);
+  return kSnapshotHeadSize + sizer.size();
+}
+
+void BandwidthBroker::write_snapshot(WireStream& out, std::size_t size) const {
+  QOSBB_REQUIRE(classes_.active_grants() == 0,
+                "write_snapshot: live contingency grants");
+  QOSBB_REQUIRE(size >= kSnapshotHeadSize, "write_snapshot: bad size");
+  put_head(out, size - kSnapshotHeadSize);
+  encode_snapshot_body(out);
+}
+
+Result<std::vector<std::uint8_t>> BandwidthBroker::snapshot() const {
+  if (classes_.active_grants() != 0) {
+    // kUnavailable, not kFailedPrecondition: the condition is transient —
+    // the caller should settle/expire the grants and retry, nothing about
+    // the request itself is wrong.
+    return Status::unavailable(
+        "snapshot requires a quiescent broker (active contingency grants); "
+        "retry after the grants settle");
+  }
+  WireWriter w;
+  encode_snapshot_body(w);
   WireWriter head;
-  head.u16(kWireMagic);
-  head.u8(kWireVersion);
-  head.u8(static_cast<std::uint8_t>(MessageType::kBrokerSnapshot));
-  head.u32(static_cast<std::uint32_t>(w.buffer().size()));
+  put_head(head, w.buffer().size());
   WireBuffer out = head.take();
   const WireBuffer& body = w.buffer();
   out.insert(out.end(), body.begin(), body.end());
@@ -170,21 +220,75 @@ Result<std::vector<std::uint8_t>> BandwidthBroker::snapshot() const {
     return Status::internal("snapshot failed self-restore: " +
                             check.status().to_string());
   }
-  constexpr double kResumTol = 1e-6;  // float re-summation slack
   for (const auto& l : spec_.links) {
     const std::string name = l.from + "->" + l.to;
-    const LinkQosState& live = store_.nodes().link(name);
-    const LinkQosState& redo = check.value()->nodes().link(name);
-    if (std::abs(live.reserved() - redo.reserved()) > kResumTol ||
-        std::abs(live.buffer_reserved() - redo.buffer_reserved()) >
-            kResumTol) {
-      return Status::failed_precondition(
-          "snapshot would lose state on link " + name +
-          ": live reservation not explained by the flow/class/external "
-          "records (out-of-band booking?)");
+    if (Status s = ledger_explained(store_.nodes().link(name),
+                                    check.value()->nodes().link(name));
+        !s.is_ok()) {
+      return s;
     }
   }
   return out;
+}
+
+Status BandwidthBroker::rebook_ledgers() {
+  store_.nodes().clear_ledgers();
+  std::vector<const FlowRecord*> per_flow;
+  for (const auto& [id, rec] : flows_.all()) {
+    if (rec.kind == FlowKind::kPerFlow) per_flow.push_back(&rec);
+  }
+  std::sort(per_flow.begin(), per_flow.end(),
+            [](const FlowRecord* a, const FlowRecord* b) {
+              return a->id < b->id;
+            });
+  for (const FlowRecord* rec : per_flow) {
+    book_reservation(paths_.record(rec->path), rec->reservation,
+                     rec->profile);
+  }
+  classes_.rebook_macroflows();
+  for (const auto& [link, amount] : external_) {
+    if (Status s = store_.nodes().link(link).reserve(amount); !s.is_ok()) {
+      return Status::invalid_argument(
+          "cannot re-book external reservation on " + link + ": " +
+          s.to_string());
+    }
+  }
+  MutexLock guard(limiter_mu_);
+  limiters_.clear();
+  return Status::ok();
+}
+
+Status BandwidthBroker::rebase_ledgers() {
+  if (classes_.active_grants() != 0) {
+    return Status::unavailable(
+        "ledger rebase requires a quiescent broker (active contingency "
+        "grants)");
+  }
+  struct Saved {
+    const LinkQosState* link;
+    BitsPerSecond reserved;
+    Bits buffer;
+  };
+  std::vector<Saved> saved;
+  saved.reserve(spec_.links.size());
+  for (const auto& l : spec_.links) {
+    const LinkQosState& link = store_.nodes().link(l.from + "->" + l.to);
+    saved.push_back({&link, link.reserved(), link.buffer_reserved()});
+  }
+  if (Status s = rebook_ledgers(); !s.is_ok()) {
+    return Status::internal("ledger rebase failed: " + s.to_string());
+  }
+  for (const Saved& before : saved) {
+    if (!within_resum_tolerance(before.reserved, before.link->reserved()) ||
+        !within_resum_tolerance(before.buffer,
+                                before.link->buffer_reserved())) {
+      return Status::failed_precondition(
+          "ledger rebase dropped state on link " + before.link->name() +
+          ": the reservation was not explained by the flow/class/external "
+          "records (out-of-band booking?)");
+    }
+  }
+  return Status::ok();
 }
 
 Result<std::unique_ptr<BandwidthBroker>> BandwidthBroker::restore(
@@ -201,7 +305,8 @@ Result<std::unique_ptr<BandwidthBroker>> BandwidthBroker::restore(
   (void)r.u8();
   auto body_len = r.u32();
   if (!body_len.is_ok() ||
-      static_cast<std::size_t>(body_len.value()) + 8 != frame.size()) {
+      static_cast<std::size_t>(body_len.value()) + kSnapshotHeadSize !=
+          frame.size()) {
     return Status::invalid_argument("snapshot length mismatch");
   }
 
@@ -251,7 +356,6 @@ Result<std::unique_ptr<BandwidthBroker>> BandwidthBroker::restore(
     flow.reservation = RateDelayPair{rate.value(), delay.value()};
     flow.admitted_at = admitted_at.value();
     flow.priority = static_cast<FlowPriority>(priority.value());
-    bb->book_reservation(rec, flow.reservation, flow.profile);
     bb->flows_.add(flow);
     bb->flows_.bump_next_id(flow.id);
     ++bb->ingress_flows_[rec.ingress()];
@@ -339,15 +443,18 @@ Result<std::unique_ptr<BandwidthBroker>> BandwidthBroker::restore(
     auto amount = r.f64();
     if (!link.is_ok()) return link.status();
     if (!amount.is_ok()) return amount.status();
-    if (Status s = bb->reserve_link_external(link.value(), amount.value());
-        !s.is_ok()) {
+    if (!bb->store_.nodes().has_link(link.value()) ||
+        !(amount.value() > 0.0)) {
       return Status::invalid_argument(
-          "snapshot: cannot re-book external reservation on " + link.value() +
-          ": " + s.to_string());
+          "snapshot: corrupt external reservation on " + link.value());
     }
+    bb->external_[link.value()] += amount.value();
   }
   if (!r.exhausted()) {
     return Status::invalid_argument("snapshot: trailing bytes");
+  }
+  if (Status s = bb->rebook_ledgers(); !s.is_ok()) {
+    return Status::invalid_argument("snapshot: " + s.to_string());
   }
   return bb;
 }

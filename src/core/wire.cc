@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 namespace qosbb {
 namespace {
@@ -128,6 +129,18 @@ void WireWriter::patch_u32(std::size_t offset, std::uint32_t v) {
     buf_[offset + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(v >> (8 * i));
   }
+}
+
+// ---- WireStream ----
+
+WireStream::WireStream(Sink sink) : sink_(std::move(sink)) {
+  QOSBB_REQUIRE(sink_ != nullptr, "WireStream: no sink");
+}
+
+Status WireStream::flush() {
+  if (status_.is_ok() && !w_.buffer().empty()) status_ = sink_(w_.buffer());
+  w_.clear();
+  return status_;
 }
 
 // ---- WireReader ----

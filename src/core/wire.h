@@ -17,7 +17,9 @@
 #ifndef QOSBB_CORE_WIRE_H_
 #define QOSBB_CORE_WIRE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -294,6 +296,63 @@ class WireWriter {
 
  private:
   WireBuffer buf_;
+};
+
+/// WireWriter's primitives, counting bytes instead of writing them: a
+/// sizing pass over an encoder, for headers that precede what they size.
+class WireSizer {
+ public:
+  void u8(std::uint8_t) { n_ += 1; }
+  void u16(std::uint16_t) { n_ += 2; }
+  void u32(std::uint32_t) { n_ += 4; }
+  void u64(std::uint64_t) { n_ += 8; }
+  void i64(std::int64_t) { n_ += 8; }
+  void f64(double) { n_ += 8; }
+  void str(const std::string& v) {
+    n_ += 1 + std::min<std::size_t>(v.size(), 255);
+  }
+  void raw(std::span<const std::uint8_t> v) { n_ += v.size(); }
+
+  std::size_t size() const { return n_; }
+
+ private:
+  std::size_t n_ = 0;
+};
+
+/// WireWriter's primitives, streamed: bytes collect in one buffer that is
+/// handed to `sink` and cleared whenever it reaches kChunk bytes, so
+/// encoding a message of any size holds about one chunk. After the sink
+/// fails once, later bytes are dropped and flush() keeps returning that
+/// error.
+class WireStream {
+ public:
+  using Sink = std::function<Status(std::span<const std::uint8_t>)>;
+  static constexpr std::size_t kChunk = 16 * 1024;
+
+  explicit WireStream(Sink sink);
+
+  void u8(std::uint8_t v) { w_.u8(v); spill(); }
+  void u16(std::uint16_t v) { w_.u16(v); spill(); }
+  void u32(std::uint32_t v) { w_.u32(v); spill(); }
+  void u64(std::uint64_t v) { w_.u64(v); spill(); }
+  void i64(std::int64_t v) { w_.i64(v); spill(); }
+  void f64(double v) { w_.f64(v); spill(); }
+  void str(const std::string& v) { w_.str(v); spill(); }
+  void raw(std::span<const std::uint8_t> v) { w_.raw(v); spill(); }
+
+  /// Hand the buffered bytes to the sink; the first sink error, if any.
+  Status flush();
+
+ private:
+  void spill() {
+    // A sink error sticks in status_; flush() reports it to the caller.
+    if (w_.buffer().size() < kChunk) return;
+    (void)flush();  // qosbb-lint: allow(discarded-status)
+  }
+
+  Sink sink_;
+  WireWriter w_;
+  Status status_ = Status::ok();
 };
 
 /// Bounds-checked cursor over a WireBuffer. A read that runs past the end

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -211,6 +214,40 @@ TEST(JournalFraming, UnknownKindIsDataLoss) {
       1, static_cast<JournalOpKind>(0), payload_bytes({}));
   const JournalScan scan = scan_journal(image);
   EXPECT_EQ(scan.error.code(), StatusCode::kDataLoss);
+}
+
+// The sliced CRC is the plain zlib CRC-32 (check value of "123456789"),
+// at every length and alignment, and extending it piece by piece gives the
+// CRC of the concatenation.
+TEST(JournalFraming, Crc32MatchesTheBytewiseDefinition) {
+  const std::string check = "123456789";
+  EXPECT_EQ(journal_crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                          check.size()),
+            0xCBF43926u);
+  auto bytewise = [](const std::uint8_t* p, std::size_t n) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  WireBuffer data(100);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  for (std::size_t from = 0; from < 9; ++from) {
+    for (std::size_t n = 0; from + n <= data.size(); ++n) {
+      const std::uint8_t* p = data.data() + from;
+      const std::uint32_t want = bytewise(p, n);
+      ASSERT_EQ(journal_crc32(p, n), want) << from << "+" << n;
+      const std::size_t cut = n / 3;
+      EXPECT_EQ(journal_crc32_extend(journal_crc32(p, cut), p + cut, n - cut),
+                want);
+    }
+  }
 }
 
 TEST(JournalFile, FsBackingRoundTrips) {
@@ -513,12 +550,61 @@ TEST_F(DurableBrokerTest, RecoveredDecisionsOutliveTheFifoWindow) {
   EXPECT_TRUE(db->release_service(3, first).is_ok());
   EXPECT_EQ(db->next_lsn(), lsn);
 
-  // An anchor carries both sets; loading it keeps the newest dedup_window.
+  // An anchor carries both sets, and loading it evicts none of them: the
+  // recovered decisions still answer their late retries after a second
+  // crash.
   ASSERT_TRUE(db->checkpoint().is_ok());
   auto again = open(dopts);
   EXPECT_TRUE(again->remembers(6));
   EXPECT_TRUE(again->remembers(7));
-  EXPECT_FALSE(again->remembers(2));
+  EXPECT_TRUE(again->remembers(2));
+  EXPECT_TRUE(again->remembers(3));
+}
+
+// Regression: crash, restart, anchor, crash again. The anchor lists the
+// first crash's recovered decisions ahead of a full window; loading it
+// used to FIFO-trim them away, so a retry from the first crash (still in
+// its client's backoff) re-executed and admitted a second flow.
+TEST_F(DurableBrokerTest, RecoveredDecisionsSurviveAnAnchorAndASecondCrash) {
+  DurableBrokerOptions dopts;
+  dopts.dedup_window = 4;
+  FlowId first = kInvalidFlowId;
+  {
+    auto db = open(dopts);
+    ASSERT_TRUE(db->provision_path(1, "I2", "E2").is_ok());
+    auto r = db->request_service(2, probe_request(), 0.0);
+    ASSERT_TRUE(r.is_ok());
+    first = r.value().flow;
+    ASSERT_TRUE(db->release_service(3, first).is_ok());
+    ASSERT_TRUE(db->request_service(4, probe_request(), 0.5).is_ok());
+  }  // crash 1: the acks of rids 1..4 may be lost
+  {
+    auto db = open(dopts);
+    ASSERT_TRUE(db->remembers(2));
+    for (RequestId rid = 5; rid < 9; ++rid) {  // a full window of new work
+      ASSERT_TRUE(db->request_service(rid, probe_request(), 1.0).is_ok());
+    }
+    ASSERT_TRUE(db->checkpoint().is_ok());
+  }  // crash 2, shortly after the anchor
+  auto db = open(dopts);
+  EXPECT_TRUE(db->remembers(2));
+  EXPECT_TRUE(db->remembers(3));
+  const std::size_t flows = db->broker().flows().count();
+  const std::uint64_t lsn = db->next_lsn();
+  auto retry = db->request_service(2, probe_request(), 9.0);
+  ASSERT_TRUE(retry.is_ok());
+  EXPECT_EQ(retry.value().flow, first);
+  EXPECT_TRUE(db->release_service(3, first).is_ok());
+  EXPECT_EQ(db->broker().flows().count(), flows);
+  EXPECT_EQ(db->next_lsn(), lsn);
+
+  // Repeated crashes do not grow the recovered set without bound: an
+  // anchor keeps the newest dedup_window of it, plus the window.
+  for (int crash = 0; crash < 3; ++crash) {
+    ASSERT_TRUE(db->checkpoint().is_ok());
+    db = open(dopts);
+    EXPECT_LE(db->dedup_window_size(), 2 * dopts.dedup_window);
+  }
 }
 
 // Group commit: a batch of fresh admits is ONE durable append carrying one
@@ -693,16 +779,39 @@ TEST_F(DurableBrokerTest, AnchorTruncatesJournalAndSurvivesRecovery) {
   EXPECT_EQ(db2->broker().flows().count(), 2u);
 }
 
+// The byte rule: with no anchor yet the threshold is the 1 MiB floor. The
+// append that brings the tail to it is followed by an anchor, after which
+// the tail starts from zero and a restart replays nothing.
 TEST_F(DurableBrokerTest, AutoAnchorFiresAfterThreshold) {
-  DurableBrokerOptions dopts;
-  dopts.anchor_every = 3;
-  auto db = open(dopts);
+  auto db = open();
   ASSERT_TRUE(db->provision_path(1, "I2", "E2").is_ok());
-  ASSERT_TRUE(db->request_service(2, probe_request(), 0.0).is_ok());
-  ASSERT_TRUE(db->request_service(3, probe_request(), 1.0).is_ok());
-  EXPECT_GE(db->stats().checkpoints, 1u);
-  auto db2 = open(dopts);
-  EXPECT_EQ(db2->broker().flows().count(), 2u);
+  auto kept = db->request_service(2, probe_request(), 0.0);
+  ASSERT_TRUE(kept.is_ok());
+  EXPECT_EQ(db->anchor_bytes(), 0u);
+  RequestId rid = 3;
+  std::uint64_t admit_record = 0;  // every admit here frames the same size
+  for (;;) {
+    const std::uint64_t tail = db->tail_bytes();
+    ASSERT_LT(tail, DurableBroker::kAnchorFloorBytes);
+    auto r = db->request_service(rid++, probe_request(), 1.0);
+    ASSERT_TRUE(r.is_ok());
+    if (db->stats().checkpoints != 0) {
+      // Not a record early: this admit's record reached the floor.
+      EXPECT_GE(tail + admit_record, DurableBroker::kAnchorFloorBytes);
+      break;
+    }
+    admit_record = db->tail_bytes() - tail;
+    ASSERT_TRUE(db->release_service(rid++, r.value().flow).is_ok());
+  }
+  EXPECT_EQ(db->tail_bytes(), 0u);
+  EXPECT_EQ(file_.contents().size(), db->anchor_bytes());
+  const JournalScan scan = scan_journal(file_.contents());
+  ASSERT_EQ(scan.records.size(), 1u);
+  EXPECT_EQ(scan.records[0].kind, JournalOpKind::kAnchor);
+  auto db2 = open();
+  EXPECT_EQ(db2->stats().replayed, 0u);
+  EXPECT_EQ(db2->broker().flows().count(), db->broker().flows().count());
+  EXPECT_EQ(db2->anchor_bytes(), db->anchor_bytes());
 }
 
 TEST_F(DurableBrokerTest, TornFinalRecordIsDroppedAndTruncated) {
@@ -1004,6 +1113,358 @@ TEST_F(MixedBatchTest, MixedFrameCutAtEveryByteRecoversARecordPrefix) {
           << "cut " << cut << " record " << j;
     }
   }
+}
+
+// ---- Anchors: byte rule, in-place rebase, streamed record ----
+
+/// Every link ledger, bit for bit: rate, buffer, flow count, the EDF
+/// buckets and the knot prefixes the Figure-4 scan reads.
+::testing::AssertionResult same_ledgers(const DomainSpec& spec,
+                                        const BandwidthBroker& a,
+                                        const BandwidthBroker& b) {
+  for (const auto& l : spec.links) {
+    const std::string name = l.from + "->" + l.to;
+    const LinkQosState& x = a.nodes().link(name);
+    const LinkQosState& y = b.nodes().link(name);
+    if (x.reserved() != y.reserved() ||
+        x.buffer_reserved() != y.buffer_reserved() ||
+        x.flow_count() != y.flow_count()) {
+      return ::testing::AssertionFailure()
+             << name << ": reserved " << x.reserved() << " vs "
+             << y.reserved() << ", buffer " << x.buffer_reserved() << " vs "
+             << y.buffer_reserved() << ", flows " << x.flow_count() << " vs "
+             << y.flow_count();
+    }
+    auto bx = x.edf_buckets().begin();
+    auto by = y.edf_buckets().begin();
+    if (x.edf_buckets().size() != y.edf_buckets().size()) {
+      return ::testing::AssertionFailure() << name << ": EDF bucket count";
+    }
+    for (; bx != x.edf_buckets().end(); ++bx, ++by) {
+      if (bx->first != by->first ||
+          bx->second.sum_rate != by->second.sum_rate ||
+          bx->second.sum_l != by->second.sum_l ||
+          bx->second.count != by->second.count) {
+        return ::testing::AssertionFailure()
+               << name << ": EDF bucket at d=" << bx->first;
+      }
+    }
+    const KnotArray& kx = x.knot_prefixes();
+    const KnotArray& ky = y.knot_prefixes();
+    if (kx.d != ky.d || kx.rate_sum != ky.rate_sum ||
+        kx.fixed_sum != ky.fixed_sum || kx.s != ky.s) {
+      return ::testing::AssertionFailure() << name << ": knot prefixes";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::uint32_t record_digest(const BandwidthBroker& bb) {
+  auto d = broker_state_digest(bb);
+  EXPECT_TRUE(d.is_ok()) << d.status().to_string();
+  return d.is_ok() ? d.value() : 0;
+}
+
+/// Two hops of 1 Gb/s, rate-based then VT-EDF: room for thousands of
+/// flows, so the live state (and the anchor) can outgrow the 1 MiB floor.
+DomainSpec wide_spec() {
+  DomainSpec spec;
+  spec.nodes = {"I", "R", "E"};
+  spec.l_max = 12000.0;
+  spec.links.push_back({"I", "R", 1e9, 0.0, SchedPolicy::kCsvc});
+  spec.links.push_back({"R", "E", 1e9, 0.0, SchedPolicy::kVtEdf});
+  return spec;
+}
+
+FlowServiceRequest wide_request() {
+  return {TrafficProfile::make(60000, 50000, 100000, 12000), 2.19, "I", "E",
+          0};
+}
+
+/// Admit `n` flows in slabs; their ids join `live`.
+void populate(DurableBroker& db, RequestId* rid, std::size_t n,
+              std::deque<FlowId>* live) {
+  const std::vector<FlowServiceRequest> reqs(128, wide_request());
+  while (n > 0) {
+    const std::size_t k = std::min<std::size_t>(n, reqs.size());
+    std::vector<SlabOp> ops;
+    for (std::size_t i = 0; i < k; ++i) {
+      ops.push_back(SlabOp::admit((*rid)++, reqs[i]));
+    }
+    for (const auto& r : db.execute_batch(ops, 0.0)) {
+      ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+      live->push_back(r.value().flow);
+    }
+    n -= k;
+  }
+}
+
+// At least 20 thresholds of churn through the default rule: after every
+// slab the journal holds the last anchor, plus at most the threshold
+// max(4 × anchor, 1 MiB), plus the slab that crossed it. The live state
+// here is large enough that 4 × anchor is the binding term, so that is
+// 5 × anchor + one slab. A restart replays exactly the tail.
+TEST(DurableAnchorRule, JournalStaysBoundedUnderChurn) {
+  const DomainSpec spec = wide_spec();
+  MemoryJournalFile file;
+  auto opened = DurableBroker::open(spec, {}, file);
+  ASSERT_TRUE(opened.is_ok());
+  auto db = std::move(opened).value();
+  RequestId rid = 1;
+  ASSERT_TRUE(db->provision_path(rid++, "I", "E").is_ok());
+  std::deque<FlowId> live;
+  populate(*db, &rid, 2000, &live);
+
+  auto threshold = [&] {
+    return std::max(DurableBroker::kAnchorGrowth * db->anchor_bytes(),
+                    DurableBroker::kAnchorFloorBytes);
+  };
+  const std::vector<FlowServiceRequest> reqs(64, wide_request());
+  std::uint64_t churned = 0;
+  std::uint64_t max_slab = 0;
+  std::uint64_t checked_slabs = 0;
+  Seconds now = 1.0;
+  while (churned < 20 * threshold()) {
+    std::vector<SlabOp> ops;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      ops.push_back(SlabOp::release(rid++, live.front()));
+      live.pop_front();
+    }
+    for (const FlowServiceRequest& r : reqs) {
+      ops.push_back(SlabOp::admit(rid++, r));
+    }
+    const std::uint64_t anchors = db->stats().checkpoints;
+    const std::uint64_t tail = db->tail_bytes();
+    const auto results = db->execute_batch(ops, now);
+    now += 0.01;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].is_ok()) << results[i].status().to_string();
+      if (ops[i].is_admit()) live.push_back(results[i].value().flow);
+    }
+    if (db->stats().checkpoints == anchors) {
+      const std::uint64_t slab = db->tail_bytes() - tail;
+      max_slab = std::max(max_slab, slab);
+      churned += slab;
+    } else {
+      EXPECT_EQ(db->tail_bytes(), 0u);  // the anchor followed the slab
+      churned += max_slab;
+    }
+    EXPECT_EQ(file.contents().size(), db->anchor_bytes() + db->tail_bytes());
+    ASSERT_LE(file.contents().size(),
+              db->anchor_bytes() + threshold() + max_slab)
+        << "after " << checked_slabs << " slabs";
+    ++checked_slabs;
+  }
+  EXPECT_GE(db->stats().checkpoints, 19u);
+  ASSERT_GT(DurableBroker::kAnchorGrowth * db->anchor_bytes(),
+            DurableBroker::kAnchorFloorBytes);
+  EXPECT_LE(file.contents().size(), 5 * db->anchor_bytes() + max_slab);
+
+  const JournalScan scan = scan_journal(file.contents());
+  ASSERT_TRUE(scan.error.is_ok());
+  ASSERT_EQ(scan.records.front().kind, JournalOpKind::kAnchor);
+  auto again = DurableBroker::open(spec, {}, file);
+  ASSERT_TRUE(again.is_ok());
+  EXPECT_EQ(again.value()->stats().replayed, scan.records.size() - 1);
+  EXPECT_EQ(again.value()->anchor_bytes(), db->anchor_bytes());
+  EXPECT_EQ(again.value()->tail_bytes(), db->tail_bytes());
+  EXPECT_TRUE(same_ledgers(spec, db->broker(), again.value()->broker()));
+  EXPECT_EQ(record_digest(again.value()->broker()),
+            record_digest(db->broker()));
+}
+
+// The guarantee the old swap-in image gave, now from the in-place rebase:
+// right after checkpoint() the live broker equals a fresh open() of the
+// journal bit for bit — on a churned broker with non-integer rates,
+// VT-EDF hops, a settled macroflow and an external reservation — and both
+// go on to make the same decisions with the same flow ids.
+TEST(DurableAnchorRule, CheckpointLeavesLiveStateEqualToRecovery) {
+  const DomainSpec spec = fig8_topology(Fig8Setting::kMixed);
+  BrokerOptions opts{ContingencyMethod::kBounding};
+  FaultyJournalFile file;
+  auto opened = DurableBroker::open(spec, opts, file);
+  ASSERT_TRUE(opened.is_ok());
+  auto db = std::move(opened).value();
+  RequestId rid = 1;
+  ASSERT_TRUE(db->provision_path(rid++, "I1", "E1").is_ok());
+  ASSERT_TRUE(db->provision_path(rid++, "I2", "E2").is_ok());
+  const ClassId cls = db->define_class(rid++, 2.44, 0.11).value();
+  for (int j = 0; j < 2; ++j) {
+    const JoinResult join = db->request_class_service(
+        rid++, cls, TrafficProfile::make(30517.3, 11234.7, 40123.9, 12000),
+        "I1", "E1", 0.5 * j, 0.0);
+    ASSERT_TRUE(join.admitted) << join.detail;
+    if (join.grant != kInvalidGrantId) {
+      ASSERT_TRUE(db->expire_contingency(join.grant,
+                                         join.contingency_expires_at)
+                      .is_ok());
+    }
+  }
+  ASSERT_TRUE(db->reserve_link_external(rid++, "R3->R4", 12345.678).is_ok());
+  // Churn with rates the §3.2 scan makes non-integer, on both paths.
+  std::vector<FlowId> live;
+  for (int i = 0; i < 60; ++i) {
+    const double k = 1.0 + 0.013 * (i % 7);
+    FlowServiceRequest req{
+        TrafficProfile::make(20000.5 * k, 9876.54 * k, 30001.25 * k, 12000),
+        1.9 + 0.07 * (i % 5), i % 2 ? "I1" : "I2", i % 2 ? "E1" : "E2", 0};
+    auto r = db->request_service(rid++, req, 1.0 + i);
+    if (r.is_ok()) live.push_back(r.value().flow);
+    if (i % 3 == 2 && !live.empty()) {
+      ASSERT_TRUE(db->release_service(rid++, live.front()).is_ok());
+      live.erase(live.begin());
+    }
+  }
+  ASSERT_GT(live.size(), 3u);
+  bool fractional = false;
+  for (const auto& [id, rec] : db->broker().flows().all()) {
+    fractional |= rec.reservation.rate != std::floor(rec.reservation.rate);
+  }
+  ASSERT_TRUE(fractional);
+
+  ASSERT_TRUE(db->checkpoint().is_ok());
+  auto recovered = DurableBroker::open(spec, opts, file);
+  ASSERT_TRUE(recovered.is_ok());
+  auto& rec = *recovered.value();
+  EXPECT_EQ(rec.stats().replayed, 0u);
+  EXPECT_TRUE(same_ledgers(spec, db->broker(), rec.broker()));
+  EXPECT_EQ(record_digest(db->broker()), record_digest(rec.broker()));
+  EXPECT_TRUE(digest_of(spec, db->broker(), db->next_lsn()) ==
+              digest_of(spec, rec.broker(), rec.next_lsn()));
+
+  // Same next decision, same flow id, on both (recovery on a copy).
+  FaultyJournalFile fork_a;
+  fork_a.set_contents(file.contents());
+  auto a = DurableBroker::open(spec, opts, fork_a);
+  ASSERT_TRUE(a.is_ok());
+  const FlowServiceRequest next{
+      TrafficProfile::make(20100.5, 9900.25, 30011.75, 12000), 2.05, "I2",
+      "E2", 0};
+  auto from_live = db->request_service(rid, next, 99.0);
+  auto from_rec = a.value()->request_service(rid, next, 99.0);
+  ASSERT_EQ(from_live.is_ok(), from_rec.is_ok());
+  if (from_live.is_ok()) {
+    EXPECT_EQ(from_live.value().flow, from_rec.value().flow);
+    EXPECT_EQ(from_live.value().params.rate, from_rec.value().params.rate);
+    EXPECT_EQ(from_live.value().params.delay, from_rec.value().params.delay);
+  }
+  EXPECT_TRUE(same_ledgers(spec, db->broker(), a.value()->broker()));
+}
+
+/// Forwards to an FsJournalFile, but a streamed replace stops after
+/// `cut_after` image writes — where a crash would have cut the temp file.
+/// Keeps the bytes that got through, and the largest single write.
+class CutAnchorFile : public JournalFile {
+ public:
+  explicit CutAnchorFile(FsJournalFile& inner) : inner_(inner) {}
+  Status append(const WireBuffer& bytes) override {
+    return inner_.append(bytes);
+  }
+  Result<WireBuffer> read_all() const override { return inner_.read_all(); }
+  Status replace(const WireBuffer& bytes) override {
+    return inner_.replace(bytes);
+  }
+  Status replace_streamed(const JournalImageProducer& produce) override {
+    struct Cut final : JournalImageWriter {
+      CutAnchorFile& f;
+      JournalImageWriter& out;
+      int writes = 0;
+      Cut(CutAnchorFile& file, JournalImageWriter& o) : f(file), out(o) {}
+      Status write_bytes(std::span<const std::uint8_t> bytes) override {
+        if (writes++ == f.cut_after) return Status::internal("cut");
+        f.largest_write = std::max(f.largest_write, bytes.size());
+        f.written.insert(f.written.end(), bytes.begin(), bytes.end());
+        return out.write_bytes(bytes);
+      }
+      Status patch(std::size_t offset,
+                   std::span<const std::uint8_t> bytes) override {
+        std::copy(bytes.begin(), bytes.end(),
+                  f.written.begin() + static_cast<std::ptrdiff_t>(offset));
+        return out.patch(offset, bytes);
+      }
+    };
+    written.clear();
+    return inner_.replace_streamed([&](JournalImageWriter& out) {
+      Cut cut(*this, out);
+      return produce(cut);
+    });
+  }
+
+  int cut_after = -1;
+  WireBuffer written;
+  std::size_t largest_write = 0;
+
+ private:
+  FsJournalFile& inner_;
+};
+
+bool file_exists(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f != nullptr) std::fclose(f);
+  return f != nullptr;
+}
+
+// Crash coverage inside the streamed anchor: cut the temp-file write at
+// every chunk boundary. Each cut leaves the old journal byte-identical and
+// recoverable to the live state; the stale temp file such a crash leaves
+// is overwritten by the next anchor. No single write is much more than one
+// WireStream chunk: the record is never framed whole in memory.
+TEST(DurableAnchorRule, StreamedAnchorCutAtEveryChunkKeepsTheOldJournal) {
+  const std::string path = ::testing::TempDir() + "/qosbb_anchor_cut.bin";
+  const std::string tmp = path + ".tmp";
+  std::remove(path.c_str());
+  std::remove(tmp.c_str());
+  const DomainSpec spec = wide_spec();
+  FsJournalFile fs(path);
+  CutAnchorFile file(fs);
+  auto opened = DurableBroker::open(spec, {}, file);
+  ASSERT_TRUE(opened.is_ok());
+  auto db = std::move(opened).value();
+  RequestId rid = 1;
+  ASSERT_TRUE(db->provision_path(rid++, "I", "E").is_ok());
+  std::deque<FlowId> live;
+  populate(*db, &rid, 3000, &live);
+  const WireBuffer before = fs.read_all().value();
+  const std::uint32_t live_digest = record_digest(db->broker());
+  const StateDigest live_state = digest_of(spec, db->broker(), db->next_lsn());
+
+  int cuts = 0;
+  for (file.cut_after = 0;; ++file.cut_after) {
+    const Status s = db->checkpoint();
+    if (s.is_ok()) break;
+    ++cuts;
+    EXPECT_EQ(fs.read_all().value(), before) << "cut " << file.cut_after;
+    EXPECT_FALSE(file_exists(tmp));
+    // What a SIGKILL at this point leaves behind.
+    std::FILE* f = std::fopen(tmp.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    if (!file.written.empty()) {
+      std::fwrite(file.written.data(), 1, file.written.size(), f);
+    }
+    std::fclose(f);
+    FsJournalFile again(path);
+    auto rec = DurableBroker::open(spec, {}, again);
+    ASSERT_TRUE(rec.is_ok()) << rec.status().to_string();
+    EXPECT_EQ(record_digest(rec.value()->broker()), live_digest);
+    EXPECT_TRUE(digest_of(spec, rec.value()->broker(),
+                          rec.value()->next_lsn()) == live_state);
+  }
+  // Header and LSN/kind, then at least a few chunks of payload.
+  EXPECT_GE(cuts, 2 + 4);
+  EXPECT_LE(file.largest_write, 2 * WireStream::kChunk);
+  EXPECT_FALSE(file_exists(tmp));  // the stale temp file was overwritten
+  const WireBuffer after = fs.read_all().value();
+  EXPECT_EQ(after, file.written);
+  const JournalScan scan = scan_journal(after);
+  ASSERT_TRUE(scan.error.is_ok());
+  ASSERT_EQ(scan.records.size(), 1u);
+  EXPECT_EQ(scan.records[0].kind, JournalOpKind::kAnchor);
+  FsJournalFile again(path);
+  auto rec = DurableBroker::open(spec, {}, again);
+  ASSERT_TRUE(rec.is_ok());
+  EXPECT_TRUE(same_ledgers(spec, db->broker(), rec.value()->broker()));
+  EXPECT_EQ(record_digest(rec.value()->broker()), live_digest);
+  std::remove(path.c_str());
 }
 
 }  // namespace

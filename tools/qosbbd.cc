@@ -265,13 +265,16 @@ int main(int argc, char** argv) {
     }
     durable = std::move(opened).value();
     // The harness greps this line to assert every restart actually ran
-    // recovery (replayed tail records, retained the dedup window).
+    // recovery (replayed tail records, retained the dedup window) and that
+    // the replayed tail stayed within the anchor rule's bound.
     std::fprintf(stderr,
                  "qosbbd: journal recovered lsn=%llu replayed=%llu "
-                 "dedup=%zu\n",
+                 "dedup=%zu anchor_bytes=%llu tail_bytes=%llu\n",
                  static_cast<unsigned long long>(durable->next_lsn()),
                  static_cast<unsigned long long>(durable->stats().replayed),
-                 durable->dedup_window_size());
+                 durable->dedup_window_size(),
+                 static_cast<unsigned long long>(durable->anchor_bytes()),
+                 static_cast<unsigned long long>(durable->tail_bytes()));
     server = std::make_unique<QosbbServer>(*durable, server_options);
   }
 
