@@ -1,54 +1,28 @@
 #!/usr/bin/env python3
-"""CI gate for the benchmark smoke run.
+"""CI gate for the benchmark smoke run (bench/run_benchmarks.sh output).
 
-Fails (exit 1) when the Google Benchmark JSON is missing any of the
-repository's headline benchmarks, or when any reported benchmark ran zero
-iterations — both are the signatures of a silently-broken bench binary
-that a plain exit-code check would miss.
+Fails (exit 1) when the Google Benchmark JSON is missing a family of
+REQUIRED_PREFIXES, or when any reported row errored or ran zero
+iterations — the signatures of a silently broken bench binary that a
+plain exit-code check would miss. Two semantic gates ride along:
 
-Two semantic gates ride along:
-
-  * On machines with >= 4 detected cores (context.num_cpus), the
+  * scaling: on machines with >= 4 detected cores (context.num_cpus), the
     BM_ConcurrentAdmit 4-thread row must aggregate >= 2x the 1-thread
     items_per_second — the disjoint-path scaling claim of the concurrent
     front. On smaller machines (CI runners often expose 1-2 cores) the
-    check is skipped, not waved through: flat scaling there is expected,
-    not fine.
-  * Every BM_JournalGroupCommit row must report appends_per_batch == 1 —
-    the group-commit invariant (K admits, one journal append).
-  * When the JSON carries a "server_loadgen" section (bench/run_benchmarks.sh
-    merges one from the qosbbd + loadgen end-to-end run), it must be
-    healthy: admits_per_sec > 0, finite positive p50/p99 latency, zero
-    decode errors, every admit request answered, and context.num_cpus
-    stamped. Pass --require-loadgen to fail when the section is absent
-    (the bench-smoke CI job does, since it runs via run_benchmarks.sh).
-  * When the JSON carries a "server_overload" section (the same loadgen
-    run against a budget-constrained qosbbd at 2x concurrency), the
-    graceful-degradation claim is gated: the server SHED something
-    (sheds > 0 — budgets that never fire are decorative), every request
-    was still answered (admits + rejects + admit_sheds == requests, zero
-    decode/protocol errors), the p99 of accepted admits stayed finite,
-    and goodput (accepted admits/sec) stayed within GOODPUT_MIN_RATIO of
-    the uncontended server_loadgen number — shedding must protect
-    throughput, not replace it. --require-loadgen also requires this
-    section.
-  * When the JSON carries a "federation" section (fed_loadgen against
-    fleets of socket-connected domain brokers at broker counts 1/2/4),
-    every broker-count entry must be healthy: finite positive
-    admits_per_sec, zero lost/duplicated acked admissions, zero poisoned
-    transactions and ack failures, and every multi-broker entry must have
-    actually exercised inter-domain 2PC (inter_admits > 0).
-    --require-loadgen also requires this section.
+    gate is reported as skipped, not passed: flat scaling there is
+    expected, not fine.
+  * group commit: every BM_JournalGroupCommit row must report
+    appends_per_batch == 1 (K admits, one journal append).
 
-Usage: check_bench_smoke.py [--require-loadgen] bench_smoke.json
+Usage: check_bench_smoke.py bench_smoke.json
 """
 
 import json
-import math
 import sys
 
-# Benchmark families that must appear in every smoke run (a JSON entry
-# whose name starts with one of these prefixes counts).
+# Benchmark families that must appear in every smoke run (a row whose name
+# starts with one of these prefixes counts).
 REQUIRED_PREFIXES = [
     "BM_PerFlowAdmitRelease",
     "BM_ConcurrentAdmit",
@@ -61,284 +35,74 @@ REQUIRED_PREFIXES = [
     "BM_JournalReplay",
 ]
 
-# Required aggregate speedup of BM_ConcurrentAdmit at 4 threads over 1
-# thread on disjoint paths, asserted only when the machine has the cores
-# to show it.
-CONCURRENT_SCALING_MIN = 2.0
-CONCURRENT_SCALING_CORES = 4
+# Required aggregate speedup of BM_ConcurrentAdmit at SCALING_CORES threads
+# over 1 thread, asserted only when the machine has the cores to show it.
+SCALING_MIN = 2.0
+SCALING_CORES = 4
 
 
-def check_concurrent_scaling(report, benchmarks) -> bool:
-    """Return True on failure. Gated on detected core count."""
-    num_cpus = int(report.get("context", {}).get("num_cpus", 0))
-    if num_cpus < CONCURRENT_SCALING_CORES:
-        print(f"SKIP: concurrent scaling check (num_cpus={num_cpus} < "
-              f"{CONCURRENT_SCALING_CORES})")
-        return False
+def scaling_gate(num_cpus, rows):
+    """Failure messages of the concurrent-scaling gate."""
+    if num_cpus < SCALING_CORES:
+        print(f"SKIP: BM_ConcurrentAdmit scaling (num_cpus={num_cpus} < "
+              f"{SCALING_CORES})")
+        return []
 
-    def rate(threads: int):
-        for bench in benchmarks:
-            name = bench.get("name", "")
-            if (name.startswith("BM_ConcurrentAdmit")
-                    and f"threads:{threads}" in name
-                    and bench.get("run_type") != "aggregate"):
-                return bench.get("items_per_second")
-        return None
+    def rate(threads):
+        return next((r.get("items_per_second") for r in rows
+                     if r["name"].startswith("BM_ConcurrentAdmit")
+                     and f"threads:{threads}" in r["name"]), None)
 
-    base, scaled = rate(1), rate(CONCURRENT_SCALING_CORES)
+    base, scaled = rate(1), rate(SCALING_CORES)
     if not base or not scaled:
-        print("FAIL: BM_ConcurrentAdmit rows for scaling check missing",
-              file=sys.stderr)
-        return True
+        return ["BM_ConcurrentAdmit rows for the scaling gate missing"]
     speedup = scaled / base
-    if speedup < CONCURRENT_SCALING_MIN:
-        print(f"FAIL: BM_ConcurrentAdmit {CONCURRENT_SCALING_CORES}-thread "
-              f"speedup {speedup:.2f}x < {CONCURRENT_SCALING_MIN}x "
-              f"(num_cpus={num_cpus})", file=sys.stderr)
-        return True
+    if speedup < SCALING_MIN:
+        return [f"BM_ConcurrentAdmit {SCALING_CORES}-thread speedup "
+                f"{speedup:.2f}x < {SCALING_MIN}x (num_cpus={num_cpus})"]
     print(f"OK: BM_ConcurrentAdmit scales {speedup:.2f}x at "
-          f"{CONCURRENT_SCALING_CORES} threads (num_cpus={num_cpus})")
-    return False
+          f"{SCALING_CORES} threads (num_cpus={num_cpus})")
+    return []
 
 
-def check_group_commit(benchmarks) -> bool:
-    """Return True on failure: every group-commit row appends once."""
-    failed = False
-    for bench in benchmarks:
-        name = bench.get("name", "")
-        if (not name.startswith("BM_JournalGroupCommit")
-                or bench.get("run_type") == "aggregate"):
-            continue
-        appends = bench.get("appends_per_batch")
-        if appends is None or abs(appends - 1.0) > 1e-9:
-            print(f"FAIL: {name}: appends_per_batch={appends} (expected 1)",
-                  file=sys.stderr)
-            failed = True
-    return failed
+def group_commit_gate(rows):
+    """Failure messages of the one-append-per-batch gate."""
+    return [f"{r['name']}: appends_per_batch={r.get('appends_per_batch')} "
+            "(expected 1)"
+            for r in rows if r["name"].startswith("BM_JournalGroupCommit")
+            and abs(r.get("appends_per_batch", 0.0) - 1.0) > 1e-9]
 
 
-def check_server_loadgen(report, required: bool) -> bool:
-    """Return True on failure: validate the merged loadgen e2e section."""
-    section = report.get("server_loadgen")
-    if section is None:
-        if required:
-            print("FAIL: server_loadgen section missing (bench JSON not "
-                  "produced by bench/run_benchmarks.sh?)", file=sys.stderr)
-            return True
-        print("SKIP: no server_loadgen section")
-        return False
-
-    failed = False
-
-    def finite_positive(value) -> bool:
-        return (isinstance(value, (int, float)) and math.isfinite(value)
-                and value > 0)
-
-    if not finite_positive(section.get("admits_per_sec")):
-        print(f"FAIL: server_loadgen admits_per_sec="
-              f"{section.get('admits_per_sec')} (want finite > 0)",
-              file=sys.stderr)
-        failed = True
-    latency = section.get("latency_us", {})
-    for q in ("p50", "p99"):
-        if not finite_positive(latency.get(q)):
-            print(f"FAIL: server_loadgen latency_us.{q}={latency.get(q)} "
-                  "(want finite > 0)", file=sys.stderr)
-            failed = True
-    if section.get("decode_errors", -1) != 0:
-        print(f"FAIL: server_loadgen decode_errors="
-              f"{section.get('decode_errors')}", file=sys.stderr)
-        failed = True
-    requests = section.get("requests")
-    answered = section.get("admits", 0) + section.get("rejects", 0)
-    if requests is None or answered != requests:
-        print(f"FAIL: server_loadgen admits+rejects={answered} != "
-              f"requests={requests}", file=sys.stderr)
-        failed = True
-    if int(report.get("context", {}).get("num_cpus", 0)) <= 0:
-        print("FAIL: context.num_cpus not stamped alongside server_loadgen",
-              file=sys.stderr)
-        failed = True
-    if not failed:
-        print(f"OK: server_loadgen {section.get('admits_per_sec'):.0f} "
-              f"admits/sec, p50={latency.get('p50'):.1f}us "
-              f"p99={latency.get('p99'):.1f}us over "
-              f"{section.get('connections')} connections")
-    return failed
-
-
-# Accepted-admit throughput under 2x overload must stay within this factor
-# of the uncontended run: shedding exists to PROTECT goodput.
-GOODPUT_MIN_RATIO = 0.8
-
-
-def check_server_overload(report, required: bool) -> bool:
-    """Return True on failure: graceful degradation under 2x overload."""
-    section = report.get("server_overload")
-    if section is None:
-        if required:
-            print("FAIL: server_overload section missing (bench JSON not "
-                  "produced by bench/run_benchmarks.sh?)", file=sys.stderr)
-            return True
-        print("SKIP: no server_overload section")
-        return False
-
-    failed = False
-
-    def finite_positive(value) -> bool:
-        return (isinstance(value, (int, float)) and math.isfinite(value)
-                and value > 0)
-
-    if int(section.get("sheds", 0)) <= 0:
-        print("FAIL: server_overload sheds=0 — the budgets never fired "
-              "under 2x offered load", file=sys.stderr)
-        failed = True
-    for key in ("decode_errors", "protocol_errors"):
-        if section.get(key, -1) != 0:
-            print(f"FAIL: server_overload {key}={section.get(key)}",
-                  file=sys.stderr)
-            failed = True
-    requests = section.get("requests")
-    answered = (section.get("admits", 0) + section.get("rejects", 0)
-                + section.get("admit_sheds", 0))
-    if requests is None or answered != requests:
-        print(f"FAIL: server_overload admits+rejects+admit_sheds={answered} "
-              f"!= requests={requests} — a request went unanswered",
-              file=sys.stderr)
-        failed = True
-    if not finite_positive(section.get("latency_us", {}).get("p99")):
-        print(f"FAIL: server_overload latency_us.p99="
-              f"{section.get('latency_us', {}).get('p99')} "
-              "(want finite > 0)", file=sys.stderr)
-        failed = True
-    goodput = section.get("admits_per_sec")
-    baseline = report.get("server_loadgen", {}).get("admits_per_sec")
-    num_cpus = int(report.get("context", {}).get("num_cpus", 0))
-    if not finite_positive(goodput):
-        print(f"FAIL: server_overload admits_per_sec={goodput} "
-              "(want finite > 0)", file=sys.stderr)
-        failed = True
-    elif num_cpus < CONCURRENT_SCALING_CORES:
-        # Same policy as the scaling check: on 1-2 core runners the server
-        # and every loadgen thread fight for one core and BOTH numbers
-        # swing ~25% run to run; a ratio of two noisy measurements is not
-        # a signal. Skipped, not waved through — quiet >=4-core machines
-        # (where the checked-in trajectory is refreshed) enforce it.
-        print(f"SKIP: overload goodput ratio (num_cpus={num_cpus} < "
-              f"{CONCURRENT_SCALING_CORES}); structural checks still "
-              f"enforced (sheds={section.get('sheds')}, rate "
-              f"{section.get('shed_rate', 0):.2f})")
-    elif finite_positive(baseline):
-        ratio = goodput / baseline
-        if ratio < GOODPUT_MIN_RATIO:
-            print(f"FAIL: overload goodput {goodput:.0f} admits/sec is "
-                  f"{ratio:.2f}x the uncontended {baseline:.0f} "
-                  f"(minimum {GOODPUT_MIN_RATIO}x)", file=sys.stderr)
-            failed = True
-        else:
-            print(f"OK: server_overload sheds={section.get('sheds')} "
-                  f"(rate {section.get('shed_rate', 0):.2f}), goodput "
-                  f"{ratio:.2f}x of uncontended, "
-                  f"p99={section.get('latency_us', {}).get('p99'):.1f}us")
-    return failed
-
-
-# Broker counts every federation section must report (the 1/2/4 scaling
-# sweep of bench/run_benchmarks.sh).
-FEDERATION_BROKER_COUNTS = [1, 2, 4]
-
-
-def check_federation(report, required: bool) -> bool:
-    """Return True on failure: validate the broker-count scaling sweep."""
-    section = report.get("federation")
-    if section is None:
-        if required:
-            print("FAIL: federation section missing (bench JSON not "
-                  "produced by bench/run_benchmarks.sh?)", file=sys.stderr)
-            return True
-        print("SKIP: no federation section")
-        return False
-
-    failed = False
-    entries = section.get("broker_counts", [])
-    counts = [e.get("domains") for e in entries]
-    if counts != FEDERATION_BROKER_COUNTS:
-        print(f"FAIL: federation broker counts {counts} != "
-              f"{FEDERATION_BROKER_COUNTS}", file=sys.stderr)
-        return True
-    for entry in entries:
-        k = entry.get("domains")
-        rate = entry.get("admits_per_sec")
-        if not (isinstance(rate, (int, float)) and math.isfinite(rate)
-                and rate > 0):
-            print(f"FAIL: federation[{k}] admits_per_sec={rate} "
-                  "(want finite > 0)", file=sys.stderr)
-            failed = True
-        for key in ("lost_acked", "orphans", "poisoned_txns",
-                    "ack_failures", "release_errors"):
-            if entry.get(key, -1) != 0:
-                print(f"FAIL: federation[{k}] {key}={entry.get(key)}",
-                      file=sys.stderr)
-                failed = True
-        if k > 1 and entry.get("inter_admits", 0) <= 0:
-            print(f"FAIL: federation[{k}] never exercised inter-domain "
-                  "2PC (inter_admits=0)", file=sys.stderr)
-            failed = True
-    if not failed:
-        rates = ", ".join(f"{e['domains']}: {e['admits_per_sec']:.0f}/s"
-                          for e in entries)
-        print(f"OK: federation broker-count sweep clean ({rates})")
-    return failed
-
-
-def main() -> int:
-    argv = sys.argv[1:]
-    require_loadgen = "--require-loadgen" in argv
-    argv = [a for a in argv if a != "--require-loadgen"]
-    if len(argv) != 1:
-        print(f"usage: {sys.argv[0]} [--require-loadgen] bench_smoke.json",
-              file=sys.stderr)
+def main():
+    if len(sys.argv) != 2:
+        print(f"usage: {sys.argv[0]} bench_smoke.json", file=sys.stderr)
         return 2
     try:
-        with open(argv[0], encoding="utf-8") as fh:
+        with open(sys.argv[1], encoding="utf-8") as fh:
             report = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"FAIL: cannot read benchmark JSON: {exc}", file=sys.stderr)
         return 1
 
-    benchmarks = report.get("benchmarks", [])
-    if not benchmarks:
-        print("FAIL: benchmark JSON contains no benchmarks", file=sys.stderr)
+    rows = [dict(b, name=b.get("name", "?"))
+            for b in report.get("benchmarks", [])
+            if b.get("run_type") != "aggregate"]
+    failures = [f"required benchmark missing: {p}" for p in REQUIRED_PREFIXES
+                if not any(r["name"].startswith(p) for r in rows)]
+    for r in rows:
+        if r.get("error_occurred"):
+            failures.append(f"{r['name']}: {r.get('error_message', 'error')}")
+        elif int(r.get("iterations", 0)) <= 0:
+            failures.append(f"{r['name']}: zero iterations")
+    num_cpus = int(report.get("context", {}).get("num_cpus", 0))
+    failures += scaling_gate(num_cpus, rows)
+    failures += group_commit_gate(rows)
+
+    for msg in failures:
+        print(f"FAIL: {msg}", file=sys.stderr)
+    if failures:
         return 1
-
-    failed = False
-    for prefix in REQUIRED_PREFIXES:
-        if not any(b.get("name", "").startswith(prefix) for b in benchmarks):
-            print(f"FAIL: required benchmark missing: {prefix}",
-                  file=sys.stderr)
-            failed = True
-
-    for bench in benchmarks:
-        name = bench.get("name", "?")
-        if bench.get("run_type") == "aggregate":
-            continue
-        if bench.get("error_occurred"):
-            print(f"FAIL: {name}: {bench.get('error_message', 'error')}",
-                  file=sys.stderr)
-            failed = True
-        elif int(bench.get("iterations", 0)) <= 0:
-            print(f"FAIL: {name}: zero iterations", file=sys.stderr)
-            failed = True
-
-    failed |= check_concurrent_scaling(report, benchmarks)
-    failed |= check_group_commit(benchmarks)
-    failed |= check_server_loadgen(report, require_loadgen)
-    failed |= check_server_overload(report, require_loadgen)
-    failed |= check_federation(report, require_loadgen)
-
-    if failed:
-        return 1
-    print(f"OK: {len(benchmarks)} benchmarks, all required present, "
+    print(f"OK: {len(rows)} benchmarks, all required present, "
           "all with iterations > 0")
     return 0
 

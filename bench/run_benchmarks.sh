@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# Run the admission-hot-path benchmark suite and emit Google Benchmark JSON.
+# Run the in-process admission benchmarks and emit Google Benchmark JSON.
 #
 # Usage:
 #   bench/run_benchmarks.sh [output.json] [extra benchmark args...]
 #
 # Builds (if needed) and runs bench_bb_throughput with
-# --benchmark_format=json. The checked-in trajectory lives in
-# BENCH_bb_throughput.json at the repo root: a {"before": ..., "after": ...}
-# pair of such runs bracketing the incremental-cache PR. To refresh the
-# "after" side on a quiet machine:
+# --benchmark_format=json, then stamps the commit (context.git_sha) and the
+# core count (context.num_cpus) into the JSON. The checked-in trajectory
+# lives in BENCH_bb_throughput.json at the repo root. To refresh it on a
+# quiet machine:
 #   bench/run_benchmarks.sh /tmp/after.json --benchmark_min_time=0.2
+# End-to-end numbers (qosbbd over sockets, journaled, federated) come from
+# perfbench/run.py, not from this script.
 #
 # NOTE: this container's Google Benchmark parses --benchmark_min_time as a
 # plain double (no "s" suffix).
@@ -21,8 +23,7 @@ out="${1:-bench_results/bb_throughput.json}"
 shift || true
 
 cmake -B "$repo_root/build" -S "$repo_root" >/dev/null
-cmake --build "$repo_root/build" --target bench_bb_throughput qosbbd loadgen \
-  fed_loadgen -j >/dev/null
+cmake --build "$repo_root/build" --target bench_bb_throughput -j >/dev/null
 
 mkdir -p "$(dirname "$out")"
 "$repo_root/build/bench/bench_bb_throughput" \
@@ -31,140 +32,18 @@ mkdir -p "$(dirname "$out")"
   --benchmark_out_format=json \
   "$@"
 
-# End-to-end server numbers: boot qosbbd on an ephemeral loopback port,
-# drive it with the closed-loop loadgen, and merge the report into the
-# benchmark JSON as the "server_loadgen" section — admits/sec and the
-# p50/p99/p999 signaling latency through the real socket path. Scale with
-# LOADGEN_REQUESTS; skip entirely with LOADGEN_REQUESTS=0 (e.g. profiling
-# runs that only want the in-process numbers).
-loadgen_requests="${LOADGEN_REQUESTS:-100000}"
-loadgen_json=""
-if [[ "$loadgen_requests" -gt 0 ]]; then
-  tmp_dir="$(mktemp -d)"
-  trap 'rm -rf "$tmp_dir"' EXIT
-  "$repo_root/build/tools/qosbbd" --port=0 \
-    --port-file="$tmp_dir/port" 2>"$tmp_dir/qosbbd.log" &
-  server_pid=$!
-  for _ in $(seq 1 100); do
-    [[ -s "$tmp_dir/port" ]] && break
-    sleep 0.1
-  done
-  loadgen_json="$tmp_dir/loadgen.json"
-  "$repo_root/build/tools/loadgen" --port-file="$tmp_dir/port" \
-    --connections="${LOADGEN_CONNECTIONS:-4}" \
-    --pipeline="${LOADGEN_PIPELINE:-64}" \
-    --requests="$loadgen_requests" \
-    --teardown-every="${LOADGEN_TEARDOWN_EVERY:-8}" \
-    --json-out="$loadgen_json"
-  kill -TERM "$server_pid"
-  wait "$server_pid"
-fi
-
-# Overload section: the SAME closed-loop load against a qosbbd with tight
-# in-flight budgets, at 2x the concurrency of the uncontended run. The
-# point is the degradation curve, not peak throughput: the server must
-# SHED (explicit kOverloadedReply, counted by loadgen) while goodput —
-# admits/sec of ACCEPTED requests — stays close to the uncontended number
-# and the p99 of accepted admits stays finite. Merged as the
-# "server_overload" section; gated by check_bench_smoke.py. Scale with
-# OVERLOAD_REQUESTS; OVERLOAD_REQUESTS=0 skips.
-overload_requests="${OVERLOAD_REQUESTS:-$((loadgen_requests / 2))}"
-overload_json=""
-if [[ "$overload_requests" -gt 0 ]]; then
-  [[ -n "${tmp_dir:-}" ]] || { tmp_dir="$(mktemp -d)"; trap 'rm -rf "$tmp_dir"' EXIT; }
-  # Budgets sized against the 8x64 offered load: the per-connection budget
-  # (56) sits just under the pipeline depth (64), so every full burst
-  # structurally sheds its tail (~12%) while the global budget stays above
-  # the service pipeline's natural queue depth — shedding trims the excess
-  # instead of starving accepted throughput.
-  "$repo_root/build/tools/qosbbd" --port=0 \
-    --port-file="$tmp_dir/overload_port" \
-    --max-inflight=448 --max-inflight-conn=56 \
-    --deadline-ms=200 --brownout-inflight=336 \
-    2>"$tmp_dir/qosbbd_overload.log" &
-  overload_pid=$!
-  for _ in $(seq 1 100); do
-    [[ -s "$tmp_dir/overload_port" ]] && break
-    sleep 0.1
-  done
-  overload_json="$tmp_dir/overload.json"
-  "$repo_root/build/tools/loadgen" --port-file="$tmp_dir/overload_port" \
-    --connections="${OVERLOAD_CONNECTIONS:-8}" \
-    --pipeline="${OVERLOAD_PIPELINE:-64}" \
-    --requests="$overload_requests" \
-    --teardown-every="${LOADGEN_TEARDOWN_EVERY:-8}" \
-    --json-out="$overload_json"
-  kill -TERM "$overload_pid"
-  wait "$overload_pid"
-fi
-
-# Federation scaling section: the coordinator (fed_loadgen) against fleets
-# of 1, 2, and 4 socket-connected domain brokers on the partitioned
-# multi-domain topology — aggregate admits/sec per broker count, the
-# decoupling claim of the federated control plane (intra-domain decisions
-# stay member-local; only inter-domain flows pay the 2PC round trips).
-# Merged as the "federation" section, gated by check_bench_smoke.py. Scale
-# with FEDBENCH_REQUESTS; FEDBENCH_REQUESTS=0 skips.
-fedbench_requests="${FEDBENCH_REQUESTS:-$((loadgen_requests / 25))}"
-fed_jsons=()
-if [[ "$fedbench_requests" -gt 0 ]]; then
-  [[ -n "${tmp_dir:-}" ]] || { tmp_dir="$(mktemp -d)"; trap 'rm -rf "$tmp_dir"' EXIT; }
-  for brokers in 1 2 4; do
-    member_pids=()
-    for ((d = 0; d < brokers; d++)); do
-      "$repo_root/build/tools/qosbbd" --topo=multidomain \
-        --domains="$brokers" --domain-index="$d" --port=0 \
-        --port-file="$tmp_dir/fed$brokers.port.$d" \
-        2>"$tmp_dir/fed$brokers.member$d.log" &
-      member_pids+=($!)
-    done
-    for ((d = 0; d < brokers; d++)); do
-      for _ in $(seq 1 100); do
-        [[ -s "$tmp_dir/fed$brokers.port.$d" ]] && break
-        sleep 0.1
-      done
-    done
-    fed_json="$tmp_dir/fed$brokers.json"
-    "$repo_root/build/tools/fed_loadgen" \
-      --port-file-prefix="$tmp_dir/fed$brokers.port" --domains="$brokers" \
-      --requests="$fedbench_requests" --audit=0 --json-out="$fed_json"
-    kill -TERM "${member_pids[@]}"
-    wait "${member_pids[@]}" 2>/dev/null || true
-    fed_jsons+=("$fed_json")
-  done
-fi
-
-# Stamp provenance into the context block so trajectory entries pasted into
-# BENCH_bb_throughput.json stay attributable: the commit the numbers were
-# measured at, and the core count they were measured on (num_cpus is
-# already reported by Google Benchmark; ensure it survives even on builds
-# that omit it). Merge the loadgen report while we are in here.
 git_sha="$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || echo unknown)"
-python3 - "$out" "$git_sha" "$loadgen_json" "$overload_json" \
-  "${fed_jsons[@]:-}" <<'PY'
+python3 - "$out" "$git_sha" <<'PY'
 import json
 import os
 import sys
 
-path, sha, loadgen_path, overload_path = sys.argv[1:5]
-fed_paths = [p for p in sys.argv[5:] if p]
+path, sha = sys.argv[1:3]
 with open(path, encoding="utf-8") as fh:
     report = json.load(fh)
 ctx = report.setdefault("context", {})
 ctx["git_sha"] = sha
 ctx.setdefault("num_cpus", os.cpu_count() or 1)
-if loadgen_path:
-    with open(loadgen_path, encoding="utf-8") as fh:
-        report["server_loadgen"] = json.load(fh)
-if overload_path:
-    with open(overload_path, encoding="utf-8") as fh:
-        report["server_overload"] = json.load(fh)
-if fed_paths:
-    broker_counts = []
-    for fed_path in fed_paths:
-        with open(fed_path, encoding="utf-8") as fh:
-            broker_counts.append(json.load(fh))
-    report["federation"] = {"broker_counts": broker_counts}
 with open(path, "w", encoding="utf-8") as fh:
     json.dump(report, fh, indent=2)
     fh.write("\n")

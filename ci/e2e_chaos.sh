@@ -9,6 +9,8 @@
 #      admission must still be releasable at the end (teardown answered
 #      "unknown flow" = LOST), and after full reconciliation the broker
 #      must hold zero live flows (a leftover = DUPLICATED admission).
+#      Reruns take a new --seed, and the RequestId ranges of all runs must
+#      be pairwise disjoint.
 #      Every restart must log a journal-recovery line, and the tail it
 #      replayed must be within the anchor rule's bound:
 #      tail_bytes <= max(4 x anchor_bytes, 1 MiB) + one slab.
@@ -116,8 +118,8 @@ while ((kills_done < kills)); do
   sleep 0.3
   if ! kill -0 "$loadgen_pid" 2>/dev/null; then
     # The workload finished before we got all the kills in: extend it by
-    # rerunning against the surviving journal (flows are reconciled, so a
-    # fresh run just layers more rids on the same dedup window). The
+    # rerunning against the surviving journal (flows are reconciled, and
+    # the new seed gives the run RequestIds no earlier run used). The
     # per-run JSONs are all checked at the end.
     wait "$loadgen_pid" || {
       echo "e2e_chaos: chaos loadgen FAILED mid-sweep" >&2
@@ -186,8 +188,10 @@ fi
 python3 - "$log_dir"/p1.loadgen.run*.json <<'EOF'
 import json, sys
 total = {"admits": 0, "resends": 0, "reconnects": 0}
+ranges = []
 for path in sys.argv[1:]:
     d = json.load(open(path))
+    ranges.append((d["rid_lo"], d["rid_hi"], path))
     assert d["lost_acked"] == 0, \
         f"{path}: lost acked admissions: {d['lost_acked']}"
     assert d["exhausted"] == 0, \
@@ -201,6 +205,11 @@ for path in sys.argv[1:]:
 # Zero reconnects would mean every kill landed between runs — the sweep
 # never actually crashed the server under live load.
 assert total["reconnects"] > 0, "no loadgen op ever crossed a server crash"
+# Every run (one per seed) must have used its own RequestIds: the journal's
+# dedup window outlives a run, so a reused rid would replay an old decision.
+ranges.sort()
+for (_, hi, a), (lo, _, b) in zip(ranges, ranges[1:]):
+    assert hi < lo, f"{a} and {b} share RequestIds [{lo}, {hi}]"
 print(f"e2e_chaos: phase 1 OK — {total['admits']} acked admits over "
       f"{len(sys.argv) - 1} run(s), {total['resends']} resends, "
       f"{total['reconnects']} reconnects, 0 lost, 0 duplicated")

@@ -3,17 +3,18 @@
 #
 #   K journaled qosbbd daemons each serve one domain of the partitioned
 #   multi-domain topology (--topo=multidomain --domain-index=d) while
-#   fed_loadgen — a FederatedFront over SocketMembers — drives a seeded mix
-#   of intra-domain delegations and inter-domain 2PC admissions against the
-#   fleet. Mid-run the harness SIGKILLs one member and restarts it on the
+#   loadgen --mode=federated — a FederatedFront over SocketMembers —
+#   drives a seeded mix of intra-domain delegations and inter-domain 2PC
+#   admissions against the fleet. Mid-run the harness SIGKILLs one member and restarts it on the
 #   SAME port and journal, at least FED_KILLS times; every restart must log
 #   a journal-recovery line before the next kill.
 #
 # Exactly-once across the crashes is asserted from the outside by
-# fed_loadgen's own strict exit accounting, re-checked here from its JSON:
+# loadgen's own strict exit accounting, re-checked here from its JSON:
 #
 #   * lost_acked == 0      — every acked admission still released cleanly;
-#   * orphans == 0         — every member drained to zero live flows (a
+#   * exhausted == 0       — no admit or release ran out of retries;
+#   * live_flows_final == 0 — every member drained to zero live flows (a
 #                            leftover = a sub-op executed twice);
 #   * poisoned_txns == 0   — no member op exhausted its transport budget
 #                            mid-2PC (the coordinator never lost track);
@@ -28,12 +29,15 @@
 #                            sweep that never crossed a crash proves
 #                            nothing);
 #   * inter_admits > 0     — the sweep actually exercised 2PC, not just
-#                            intra delegation.
+#                            intra delegation;
+#   * rid ranges disjoint  — no two runs (one per seed) share a RequestId,
+#                            so no member dedup window can answer a run
+#                            with an earlier run's decision.
 #
 # Usage: ci/e2e_federation.sh [build_dir]
 # Env:   FED_DOMAINS (3)       federation size K
 #        FED_KILLS (3)         SIGKILL-restart cycles of the victim member
-#        FED_REQUESTS (20000)  coordinator ops per fed_loadgen run
+#        FED_REQUESTS (20000)  coordinator ops per loadgen run
 #        FED_VICTIM (1)        which member the harness kills
 #        E2E_LOG_DIR (/tmp/e2e_federation)
 
@@ -47,8 +51,8 @@ victim="${FED_VICTIM:-1}"
 log_dir="${E2E_LOG_DIR:-/tmp/e2e_federation}"
 
 qosbbd="$build_dir/tools/qosbbd"
-fed_loadgen="$build_dir/tools/fed_loadgen"
-for bin in "$qosbbd" "$fed_loadgen"; do
+loadgen="$build_dir/tools/loadgen"
+for bin in "$qosbbd" "$loadgen"; do
   if [[ ! -x "$bin" ]]; then
     echo "e2e_federation: missing binary $bin" >&2
     exit 2
@@ -100,24 +104,24 @@ done
 victim_port="$(cat "$log_dir/member.port.$victim")"
 
 run=0
-spawn_fed_loadgen() {
+spawn_loadgen() {
   run=$((run + 1))
-  # Disjoint rid space per run: the members' dedup windows must never see
-  # a recycled RequestId meaning a different operation. The op-log replay
+  # --seed=$run gives every run its own RequestId space (loadgen folds the
+  # seed into the rid's high bits), so the members' dedup windows never
+  # see a recycled RequestId meaning a different operation. The op-log replay
   # audit compares against a FRESH broker, so it is meaningful only for
   # run 1 (members still carry flow-id/path state into later runs);
   # extension runs keep every other strict check.
   local audit=0
   ((run == 1)) && audit=1
-  "$fed_loadgen" --port-file-prefix="$log_dir/member.port" \
+  "$loadgen" --mode=federated --port-file-prefix="$log_dir/member.port" \
     --domains="$domains" --requests="$requests" --audit="$audit" \
     --reply-timeout-ms=500 --max-attempts=400 --seed="$run" \
-    --first-rid="$((run * 10000000))" \
     --json-out="$log_dir/fed.run$run.json" \
-    2>>"$log_dir/fed_loadgen.log" &
+    2>>"$log_dir/loadgen.log" &
   loadgen_pid=$!
 }
-spawn_fed_loadgen
+spawn_loadgen
 
 kills_done=0
 while ((kills_done < kills)); do
@@ -127,11 +131,11 @@ while ((kills_done < kills)); do
     # with a fresh run (new seed, disjoint rids). Every run's JSON is
     # checked at the end.
     wait "$loadgen_pid" || {
-      echo "e2e_federation: fed_loadgen FAILED mid-sweep" >&2
-      cat "$log_dir/fed_loadgen.log" >&2
+      echo "e2e_federation: loadgen FAILED mid-sweep" >&2
+      cat "$log_dir/loadgen.log" >&2
       exit 1
     }
-    spawn_fed_loadgen
+    spawn_loadgen
     sleep 0.2
   fi
   kill -9 "${member_pids[$victim]}" 2>/dev/null || true
@@ -166,8 +170,8 @@ done
 loadgen_rc=0
 wait "$loadgen_pid" || loadgen_rc=$?
 if [[ "$loadgen_rc" -ne 0 ]]; then
-  echo "e2e_federation: fed_loadgen exited $loadgen_rc" >&2
-  cat "$log_dir/fed_loadgen.log" >&2
+  echo "e2e_federation: loadgen exited $loadgen_rc" >&2
+  cat "$log_dir/loadgen.log" >&2
   exit 1
 fi
 
@@ -176,14 +180,17 @@ import json, sys
 total = {"admits": 0, "inter_admits": 0, "reconnects": 0, "resends": 0,
          "prepares": 0, "aborts": 0}
 audited = 0
+ranges = []
 for path in sys.argv[1:]:
     d = json.load(open(path))
+    ranges.append((d["rid_lo"], d["rid_hi"], path))
     assert d["lost_acked"] == 0, \
         f"{path}: lost acked admissions: {d['lost_acked']}"
-    assert d["release_errors"] == 0, \
-        f"{path}: release errors: {d['release_errors']}"
-    assert d["orphans"] == 0, \
-        f"{path}: duplicated admissions: {d['orphans']} member flows left"
+    assert d["exhausted"] == 0, \
+        f"{path}: ops with exhausted retries: {d['exhausted']}"
+    assert d["live_flows_final"] == 0, \
+        f"{path}: duplicated admissions: {d['live_flows_final']} member " \
+        "flows left"
     assert d["poisoned_txns"] == 0, \
         f"{path}: poisoned transactions: {d['poisoned_txns']}"
     assert d["ack_failures"] == 0, \
@@ -196,6 +203,10 @@ for path in sys.argv[1:]:
     for k in total:
         total[k] += d[k]
 assert audited >= 1, "no run performed the op-log replay audit"
+# Every run (one per seed) must have used its own RequestIds.
+ranges.sort()
+for (_, hi, a), (lo, _, b) in zip(ranges, ranges[1:]):
+    assert hi < lo, f"{a} and {b} share RequestIds [{lo}, {hi}]"
 # Zero reconnects would mean every kill landed between runs — the sweep
 # never actually crossed a member crash under live load.
 assert total["reconnects"] > 0, "no coordinator op ever crossed a crash"

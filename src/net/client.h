@@ -1,7 +1,8 @@
 // Minimal blocking client for the qosbbd signaling protocol — the "edge
 // router" side of the exchange, used by unit tests, examples, and the
-// control paths of tools. (tools/loadgen.cc drives its own non-blocking
-// multi-connection loop instead; it shares only the framing codec.)
+// control paths of tools. (tools/loadgen.cc's closed and open loops only
+// connect through BlockingClient and then drive the sockets non-blocking
+// themselves; its chaos, probe and federated modes use RetryingClient.)
 
 #ifndef QOSBB_NET_CLIENT_H_
 #define QOSBB_NET_CLIENT_H_

@@ -1,4 +1,5 @@
-// loadgen — closed-loop, open-loop, chaos, and probe load for qosbbd.
+// loadgen — closed-loop, open-loop, chaos, probe, and federated load for
+// qosbbd.
 //
 // Simulates many edge-router signaling sessions over N TCP connections,
 // each pipelining up to W requests (closed loop) or pacing a fixed
@@ -12,6 +13,7 @@
 //   loadgen --mode=open --rate=50000 --requests=200000
 //   loadgen --mode=chaos --connections=8 --requests=4000 --verify-drained=1
 //   loadgen --mode=probe --requests=50 --probe-interval-ms=10
+//   loadgen --mode=federated --port-file-prefix=/tmp/fed.port --domains=3
 //
 // Exit accounting is strict but overload-aware: kOverloadedReply is a
 // VALID server answer (the request was shed, not lost), counted per shed
@@ -24,28 +26,47 @@
 // Latency percentiles cover ACCEPTED admits only (sheds answer in
 // microseconds and would flatter the tail the deadline gate is watching).
 //
-// --mode=chaos drives one RetryingClient per connection-thread: each admit
-// carries a thread-unique RequestId ((thread+1)<<40 | seq) and is re-sent
-// through timeouts, sheds, and server restarts until its reply arrives —
-// the DurableBroker dedup window makes the retry exactly-once. Every acked
-// admission is remembered in a ledger and torn down at the end; a teardown
-// answered "unknown flow" means an acked admission was LOST (exit 1), and
-// with --verify-drained=1 a final Health probe asserts live_flows == 0, so
-// a DUPLICATED admission (an orphan flow no ledger entry names) also
-// fails the run. This is the detector behind ci/e2e_chaos.sh.
+// --mode=chaos and --mode=federated share one exactly-once loop: every
+// acked admission enters a ledger, releases draw from it, and whatever is
+// left is released at the end. A release answered "unknown flow" means an
+// acked admission was LOST (exit 1); a final drain check then requires
+// zero live flows, so a DUPLICATED admission (an orphan no ledger entry
+// names) fails the run too.
+//
+//   chaos      one RetryingClient per connection-thread against one
+//              qosbbd; each op is re-sent under its own RequestId through
+//              timeouts, sheds, and server restarts, and the DurableBroker
+//              dedup window makes the retry exactly-once. With
+//              --verify-drained=1 (the default) the drain check reads the
+//              Health op's live_flows. The detector behind ci/e2e_chaos.sh.
+//   federated  a FederatedFront over one SocketMember per qosbbd
+//              --topo=multidomain member (--ports, or --port-file-prefix
+//              with --domains) drives a seeded mix of intra- and
+//              inter-domain admissions. The drain check reads every
+//              member's digest live_flows; a poisoned 2PC transaction or a
+//              failed commit/abort ack fails the run; with --audit=1 each
+//              member's sub-op log is replayed through a fresh in-process
+//              broker (federation/oracle.h) whose digest must equal the
+//              member's. The detector behind ci/e2e_federation.sh.
+//
+// RequestIds carry --seed in bits 63..40, so runs with distinct seeds never
+// share one and a journal's dedup window cannot answer a new run with an
+// old run's decision. Chaos puts thread+1 in bits 39..32 and a per-thread
+// sequence below; the federated coordinator numbers bits 39..0 from 1.
+// Both report the range they used as rid_lo / rid_hi.
 //
 // --mode=probe is a low-rate observer: rounds of Health + SnapshotDigest
 // against a (possibly overloaded) server, reporting brownout sightings and
 // digest sheds plus the server's own shed counters.
 //
-// The JSON report (--json-out) is merged by bench/run_benchmarks.sh into
-// BENCH_bb_throughput.json and gated by bench/check_bench_smoke.py.
+// Every mode writes one JSON report (--json-out, else stdout).
 
 #include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -53,43 +74,80 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/types.h"
 #include "core/wire.h"
+#include "federation/federated_front.h"
+#include "federation/member.h"
+#include "federation/oracle.h"
+#include "federation/partition.h"
 #include "net/client.h"
 #include "net/framing.h"
+#include "topo/builders.h"
+#include "util/rng.h"
 
 namespace {
 
 using namespace qosbb;
 using Clock = std::chrono::steady_clock;
 
+constexpr int kSeedShift = 40;     ///< rid bits 63..40 hold the seed
+constexpr int kThreadShift = 32;   ///< chaos: rid bits 39..32 hold thread+1
+constexpr int kMaxChaosThreads = 255;
+
 struct Args {
+  std::string mode = "closed";
   std::string host = "127.0.0.1";
   int port = 0;
   std::string port_file;
+  std::vector<int> ports;        ///< federated: one per member domain
+  std::string port_file_prefix;  ///< federated: reads PREFIX.0 .. PREFIX.K-1
+  int domains = 0;               ///< federated: 0 = the number of --ports
   int connections = 4;
   int pipeline = 64;
-  long requests = 100000;  ///< total admit requests across all connections
+  long requests = 100000;  ///< admit requests (chaos/federated: all ops)
   int teardown_every = 0;  ///< send a teardown after every K admits (0=off)
-  std::string mode = "closed";
   double rate = 0.0;  ///< open loop: aggregate admit requests per second
-  int pairs = 8;      ///< ingress/egress pairs to rotate (server topology)
+  int pairs = -1;     ///< endpoint pairs (default 8; federated: 2 per domain)
   double rho_kbps = 100.0;
   double d_req = 1.0;
   int timeout_s = 300;
   std::string json_out;
-  // chaos / probe knobs
-  int reply_timeout_ms = 1000;  ///< per-attempt reply wait (chaos/probe)
+  // chaos / probe / federated knobs
+  int reply_timeout_ms = 1000;  ///< per-attempt reply wait
   int max_attempts = 200;       ///< re-sends per op before declaring it lost
   int verify_drained = -1;      ///< chaos: assert live_flows==0 at the end
                                 ///< (-1 = default on for chaos)
   int probe_interval_ms = 10;
   unsigned long seed = 1;
+  double release_prob = 0.35;  ///< federated: chance an op is a release
+  int audit = 1;               ///< federated: op-log replay audit
 };
+
+/// A TCP port in [1, 65535], or -1: "70000" must not wrap to 4464, and
+/// "abc" must not become 0.
+int parse_port(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno != 0 || v < 1 || v > 65535) {
+    return -1;
+  }
+  return static_cast<int>(v);
+}
+
+int read_port_file(const std::string& path) {
+  std::ifstream pf(path);
+  std::string token;
+  pf >> token;
+  return parse_port(token);
+}
 
 bool parse_args(int argc, char** argv, Args* args) {
   for (int i = 1; i < argc; ++i) {
@@ -101,9 +159,20 @@ bool parse_args(int argc, char** argv, Args* args) {
     if (const char* v = value("--host=")) {
       args->host = v;
     } else if (const char* v = value("--port=")) {
-      args->port = std::atoi(v);
+      args->port = parse_port(v);
     } else if (const char* v = value("--port-file=")) {
       args->port_file = v;
+    } else if (const char* v = value("--ports=")) {
+      const std::string list = v;
+      for (std::size_t pos = 0; pos <= list.size();) {
+        const std::size_t comma = std::min(list.find(',', pos), list.size());
+        args->ports.push_back(parse_port(list.substr(pos, comma - pos)));
+        pos = comma + 1;
+      }
+    } else if (const char* v = value("--port-file-prefix=")) {
+      args->port_file_prefix = v;
+    } else if (const char* v = value("--domains=")) {
+      args->domains = std::atoi(v);
     } else if (const char* v = value("--connections=")) {
       args->connections = std::atoi(v);
     } else if (const char* v = value("--pipeline=")) {
@@ -136,6 +205,10 @@ bool parse_args(int argc, char** argv, Args* args) {
       args->probe_interval_ms = std::atoi(v);
     } else if (const char* v = value("--seed=")) {
       args->seed = std::strtoul(v, nullptr, 10);
+    } else if (const char* v = value("--release-prob=")) {
+      args->release_prob = std::atof(v);
+    } else if (const char* v = value("--audit=")) {
+      args->audit = std::atoi(v);
     } else if (a == "--help" || a == "-h") {
       return false;
     } else {
@@ -143,22 +216,62 @@ bool parse_args(int argc, char** argv, Args* args) {
       return false;
     }
   }
+  const bool federated = args->mode == "federated";
   if (args->mode != "closed" && args->mode != "open" &&
-      args->mode != "chaos" && args->mode != "probe") {
+      args->mode != "chaos" && args->mode != "probe" && !federated) {
     std::fprintf(stderr,
-                 "loadgen: --mode must be closed, open, chaos, or probe\n");
+                 "loadgen: --mode must be closed, open, chaos, probe, or "
+                 "federated\n");
     return false;
   }
   if (args->mode == "open" && args->rate <= 0.0) {
     std::fprintf(stderr, "loadgen: open loop requires --rate\n");
     return false;
   }
+  if (args->seed >= (1UL << (64 - kSeedShift))) {
+    std::fprintf(stderr, "loadgen: --seed must be below 2^%d (rid bits)\n",
+                 64 - kSeedShift);
+    return false;
+  }
+  if (args->mode == "chaos" && args->connections > kMaxChaosThreads) {
+    std::fprintf(stderr, "loadgen: chaos takes at most %d connections\n",
+                 kMaxChaosThreads);
+    return false;
+  }
+  if (args->pairs < 0) args->pairs = federated ? 2 : 8;
   if (args->connections < 1 || args->pipeline < 1 || args->requests < 1 ||
-      args->pairs < 1 || args->max_attempts < 1) {
+      args->pairs < 1 || args->max_attempts < 1 ||
+      args->release_prob < 0.0 || args->release_prob >= 1.0) {
     return false;
   }
   if (args->verify_drained < 0) {
     args->verify_drained = args->mode == "chaos" ? 1 : 0;
+  }
+  if (!federated) {
+    if (args->port == 0 && !args->port_file.empty()) {
+      args->port = read_port_file(args->port_file);
+    }
+    if (args->port <= 0) {
+      std::fprintf(stderr,
+                   "loadgen: no valid server port (--port or --port-file)\n");
+      return false;
+    }
+    return true;
+  }
+  if (args->ports.empty() && !args->port_file_prefix.empty()) {
+    for (int d = 0; d < args->domains; ++d) {
+      args->ports.push_back(read_port_file(args->port_file_prefix + "." +
+                                           std::to_string(d)));
+    }
+  }
+  if (args->domains == 0) args->domains = static_cast<int>(args->ports.size());
+  if (args->ports.empty() ||
+      static_cast<int>(args->ports.size()) != args->domains ||
+      std::count(args->ports.begin(), args->ports.end(), -1) > 0) {
+    std::fprintf(stderr,
+                 "loadgen: federated mode needs one valid port in [1, 65535] "
+                 "per domain (--ports, or --port-file-prefix + --domains)\n");
+    return false;
   }
   return true;
 }
@@ -174,7 +287,13 @@ void usage() {
       "               [--timeout-s=N] [--json-out=PATH]\n"
       "               [--reply-timeout-ms=N] [--max-attempts=N]\n"
       "               [--verify-drained=0|1] [--probe-interval-ms=N]\n"
-      "               [--seed=N]\n");
+      "               [--seed=N]\n"
+      "       loadgen --mode=federated (--ports=P0,P1,... |\n"
+      "               --port-file-prefix=PATH --domains=K)\n"
+      "               [--host=ADDR] [--pairs=N] [--requests=N]\n"
+      "               [--release-prob=P] [--rho-kbps=X] [--audit=0|1]\n"
+      "               [--reply-timeout-ms=N] [--max-attempts=N]\n"
+      "               [--seed=N] [--json-out=PATH]\n");
 }
 
 struct Pending {
@@ -214,12 +333,45 @@ struct Totals {
   long sheds_brownout = 0;
   long decode_errors = 0;
   long protocol_errors = 0;
-  // chaos transport counters (RetryingClient)
+  // chaos / federated transport counters (RetryingClient)
   long resends = 0;
   long reconnects = 0;
   long timeouts = 0;
   long exhausted = 0;   ///< ops whose retry budget ran out (lost reply)
   long lost_acked = 0;  ///< acked admissions the server no longer knows
+};
+
+/// One JSON object, fields in insertion order: every mode's report.
+class Report {
+ public:
+  template <class T>
+  Report& put(const char* key, const T& value) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      return raw(key, "\"" + value + "\"");
+    } else if constexpr (std::is_floating_point_v<T>) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.6f", static_cast<double>(value));
+      return raw(key, buf);
+    } else {
+      return raw(key, std::to_string(value));
+    }
+  }
+  Report& raw(const char* key, std::string json) {
+    fields_.emplace_back(key, std::move(json));
+    return *this;
+  }
+  std::string str(bool nested = false) const {
+    std::string s = "{";
+    for (std::size_t i = 0; i < fields_.size(); ++i) {
+      if (i > 0) s += nested ? ", " : ",";
+      s += (nested ? "\"" : "\n  \"") + fields_[i].first + "\": " +
+           fields_[i].second;
+    }
+    return s + (nested ? "}" : "\n}\n");
+  }
+
+ private:
+  std::vector<std::pair<std::string, std::string>> fields_;
 };
 
 double percentile(std::vector<double>& sorted, double q) {
@@ -255,12 +407,12 @@ FlowServiceRequest make_request(const Args& args, long n) {
   return req;
 }
 
-void emit_json(const Args& args, const char* body) {
+void emit(const Args& args, const Report& report) {
   if (args.json_out.empty()) {
-    std::fputs(body, stdout);
+    std::fputs(report.str().c_str(), stdout);
   } else {
     std::ofstream out(args.json_out);
-    out << body;
+    out << report.str();
   }
 }
 
@@ -269,18 +421,18 @@ std::string latency_json(std::vector<double>& latencies_us) {
   double mean = 0.0;
   for (double v : latencies_us) mean += v;
   if (!latencies_us.empty()) mean /= static_cast<double>(latencies_us.size());
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "  \"latency_us\": {\n"
-                "    \"mean\": %.2f, \"p50\": %.2f, \"p90\": %.2f,\n"
-                "    \"p99\": %.2f, \"p999\": %.2f, \"max\": %.2f\n"
-                "  }\n",
-                mean, percentile(latencies_us, 0.50),
-                percentile(latencies_us, 0.90),
-                percentile(latencies_us, 0.99),
-                percentile(latencies_us, 0.999),
-                latencies_us.empty() ? 0.0 : latencies_us.back());
-  return buf;
+  return Report()
+      .put("mean", mean)
+      .put("p50", percentile(latencies_us, 0.50))
+      .put("p90", percentile(latencies_us, 0.90))
+      .put("p99", percentile(latencies_us, 0.99))
+      .put("p999", percentile(latencies_us, 0.999))
+      .put("max", latencies_us.empty() ? 0.0 : latencies_us.back())
+      .str(/*nested=*/true);
+}
+
+double per_sec(long count, double elapsed) {
+  return elapsed > 0.0 ? static_cast<double>(count) / elapsed : 0.0;
 }
 
 // ---------------------------------------------------------------------------
@@ -530,14 +682,9 @@ int run_poll_loop(const Args& args) {
   }
   if (totals.decode_errors > 0 || totals.protocol_errors > 0) failed = true;
 
-  const long total_sheds = totals.admit_sheds + totals.teardown_sheds;
-  const double admits_per_sec =
-      elapsed > 0.0 ? static_cast<double>(totals.admits) / elapsed : 0.0;
+  const double admits_per_sec = per_sec(totals.admits, elapsed);
   const double ops_per_sec =
-      elapsed > 0.0
-          ? static_cast<double>(totals.admits_sent + totals.teardowns_sent) /
-                elapsed
-          : 0.0;
+      per_sec(totals.admits_sent + totals.teardowns_sent, elapsed);
   const double shed_rate =
       totals.admits_sent > 0
           ? static_cast<double>(totals.admit_sheds) /
@@ -553,63 +700,115 @@ int run_poll_loop(const Args& args) {
                totals.admit_sheds, totals.teardowns_sent, elapsed,
                admits_per_sec, ops_per_sec);
 
-  char json[2560];
-  std::snprintf(
-      json, sizeof(json),
-      "{\n"
-      "  \"mode\": \"%s\",\n"
-      "  \"connections\": %d,\n"
-      "  \"pipeline\": %d,\n"
-      "  \"pairs\": %d,\n"
-      "  \"requests\": %ld,\n"
-      "  \"admits\": %ld,\n"
-      "  \"rejects\": %ld,\n"
-      "  \"admit_sheds\": %ld,\n"
-      "  \"teardowns\": %ld,\n"
-      "  \"teardown_failures\": %ld,\n"
-      "  \"teardown_sheds\": %ld,\n"
-      "  \"sheds\": %ld,\n"
-      "  \"sheds_global\": %ld,\n"
-      "  \"sheds_conn\": %ld,\n"
-      "  \"sheds_deadline\": %ld,\n"
-      "  \"sheds_brownout\": %ld,\n"
-      "  \"shed_rate\": %.6f,\n"
-      "  \"decode_errors\": %ld,\n"
-      "  \"protocol_errors\": %ld,\n"
-      "  \"elapsed_s\": %.6f,\n"
-      "  \"admits_per_sec\": %.1f,\n"
-      "  \"ops_per_sec\": %.1f,\n"
-      "  \"num_cpus\": %ld,\n"
-      "%s"
-      "}\n",
-      args.mode.c_str(), args.connections, args.pipeline, args.pairs,
-      totals.admits_sent, totals.admits, totals.rejects, totals.admit_sheds,
-      totals.teardowns_sent, totals.teardown_failures, totals.teardown_sheds,
-      total_sheds, totals.sheds_global, totals.sheds_conn,
-      totals.sheds_deadline, totals.sheds_brownout, shed_rate,
-      totals.decode_errors, totals.protocol_errors, elapsed, admits_per_sec,
-      ops_per_sec, static_cast<long>(::sysconf(_SC_NPROCESSORS_ONLN)),
-      latency_json(latencies_us).c_str());
-  emit_json(args, json);
+  emit(args,
+       Report()
+           .put("mode", args.mode)
+           .put("connections", args.connections)
+           .put("pipeline", args.pipeline)
+           .put("pairs", args.pairs)
+           .put("requests", totals.admits_sent)
+           .put("admits", totals.admits)
+           .put("rejects", totals.rejects)
+           .put("admit_sheds", totals.admit_sheds)
+           .put("teardowns", totals.teardowns_sent)
+           .put("teardown_failures", totals.teardown_failures)
+           .put("teardown_sheds", totals.teardown_sheds)
+           .put("sheds", totals.admit_sheds + totals.teardown_sheds)
+           .put("sheds_global", totals.sheds_global)
+           .put("sheds_conn", totals.sheds_conn)
+           .put("sheds_deadline", totals.sheds_deadline)
+           .put("sheds_brownout", totals.sheds_brownout)
+           .put("shed_rate", shed_rate)
+           .put("decode_errors", totals.decode_errors)
+           .put("protocol_errors", totals.protocol_errors)
+           .put("elapsed_s", elapsed)
+           .put("admits_per_sec", admits_per_sec)
+           .put("ops_per_sec", ops_per_sec)
+           .put("num_cpus", ::sysconf(_SC_NPROCESSORS_ONLN))
+           .raw("latency_us", latency_json(latencies_us)));
   return failed ? 1 : 0;
 }
 
 // ---------------------------------------------------------------------------
-// chaos: one RetryingClient per thread, exactly-once ledger reconciliation.
+// chaos / federated: the shared exactly-once ledger loop.
 // ---------------------------------------------------------------------------
 
-/// Per-thread outcome; merged after join so no locks are needed.
-struct ChaosThreadResult {
+/// One exactly-once worker's outcome (a chaos thread, or the federated
+/// coordinator); merged after join so no locks are needed.
+struct LedgerRun {
   Totals totals;
   std::vector<double> latencies_us;
-  std::vector<std::pair<FlowId, RequestId>> ledger;  ///< acked admissions
   std::vector<std::string> errors;
+  RequestId rid_lo = ~RequestId{0};  ///< RequestIds this worker sent
+  RequestId rid_hi = 0;
+
+  void note_rid(RequestId rid) {
+    rid_lo = std::min(rid_lo, rid);
+    rid_hi = std::max(rid_hi, rid);
+  }
 };
 
-RetryingClientOptions chaos_client_options(const Args& args, int thread_idx) {
+/// For each of `ops` steps, `pick(i, ledger_size)` names a ledger entry to
+/// release, or -1 to admit; `admit(i)` returns the reservation or why not,
+/// `release(flow)` the teardown status. kRejected is a real answer,
+/// NotFound on a release is a LOST acked admission, and any other failure
+/// is an op whose retry budget ran out. Whatever the ledger still holds at
+/// the end is released (reconciliation).
+template <class Pick, class Admit, class Release>
+void run_ledger(long ops, Pick pick, Admit admit, Release release,
+                LedgerRun* out) {
+  Totals& t = out->totals;
+  std::vector<FlowId> ledger;
+  auto release_one = [&](FlowId flow, const char* when) {
+    ++t.teardowns_sent;
+    const Status s = release(flow);
+    if (s.is_ok()) {
+      ++t.teardown_acks;
+      return;
+    }
+    if (s.code() == StatusCode::kNotFound) {
+      ++t.lost_acked;  // the broker no longer knows an acked admission
+    } else {
+      ++t.exhausted;
+    }
+    out->errors.push_back("acked flow " + std::to_string(flow) + " at " +
+                          when + ": " + s.to_string());
+  };
+  for (long i = 0; i < ops; ++i) {
+    const long k = pick(i, ledger.size());
+    if (k >= 0) {
+      const FlowId flow = ledger[static_cast<std::size_t>(k)];
+      ledger.erase(ledger.begin() + k);
+      release_one(flow, "release");
+      continue;
+    }
+    ++t.admits_sent;
+    const auto op_start = Clock::now();
+    const Result<Reservation> res = admit(i);
+    if (res.is_ok()) {
+      ++t.admits;
+      out->latencies_us.push_back(
+          std::chrono::duration<double, std::micro>(Clock::now() - op_start)
+              .count());
+      ledger.push_back(res.value().flow);
+    } else if (res.status().code() == StatusCode::kRejected) {
+      ++t.rejects;  // executed and denied — a real answer
+    } else {
+      ++t.exhausted;
+      out->errors.push_back("admit: " + res.status().to_string());
+    }
+  }
+  for (const FlowId flow : ledger) release_one(flow, "reconcile");
+}
+
+RequestId rid_base(const Args& args) {
+  return static_cast<RequestId>(args.seed) << kSeedShift;
+}
+
+RetryingClientOptions client_options(const Args& args, int port, int idx) {
   RetryingClientOptions opt;
   opt.host = args.host;
-  opt.port = static_cast<std::uint16_t>(args.port);
+  opt.port = static_cast<std::uint16_t>(port);
   opt.reply_timeout_ms = args.reply_timeout_ms;
   opt.max_attempts = static_cast<std::uint32_t>(args.max_attempts);
   // Tight schedule: the point is to ride THROUGH restarts, not wait them
@@ -617,190 +816,305 @@ RetryingClientOptions chaos_client_options(const Args& args, int thread_idx) {
   // most a few hundred ms of re-send delay.
   opt.backoff.base = 0.010;
   opt.backoff.cap = 0.250;
-  opt.rng_seed = args.seed + static_cast<unsigned long>(thread_idx) * 7919;
+  opt.rng_seed = args.seed + static_cast<unsigned long>(idx) * 7919;
   return opt;
 }
 
-void chaos_worker(const Args& args, int thread_idx, long ops,
-                  ChaosThreadResult* out) {
-  RetryingClient client(chaos_client_options(args, thread_idx));
-  // Thread-unique non-zero rid space: high bits name the thread, low bits
-  // the op. Survives restarts because the CLIENT owns identity assignment.
-  const RequestId base = static_cast<RequestId>(thread_idx + 1) << 40;
-  RequestId seq = 0;
-  for (long i = 0; i < ops; ++i) {
-    // Interleaved teardowns exercise dedup on the release path too.
-    if (args.teardown_every > 0 && !out->ledger.empty() &&
-        (i + 1) % (args.teardown_every + 1) == 0) {
-      const auto [flow, admit_rid] = out->ledger.front();
-      out->ledger.erase(out->ledger.begin());
-      ++out->totals.teardowns_sent;
-      const Status s = client.teardown(flow, base | ++seq);
-      if (s.is_ok()) {
-        ++out->totals.teardown_acks;
-      } else if (s.code() == StatusCode::kNotFound) {
-        ++out->totals.lost_acked;
-        out->errors.push_back("acked flow " + std::to_string(flow) +
-                              " (rid " + std::to_string(admit_rid) +
-                              ") unknown at teardown: " + s.message());
-      } else {
-        ++out->totals.exhausted;
-        out->errors.push_back("teardown flow " + std::to_string(flow) +
-                              ": " + s.message());
+void add_transport(const RetryingClientStats& cs, Totals* t) {
+  t->resends += static_cast<long>(cs.resends);
+  t->reconnects += static_cast<long>(cs.reconnects);
+  t->timeouts += static_cast<long>(cs.timeouts);
+  t->admit_sheds += static_cast<long>(cs.sheds_seen);
+}
+
+/// Merges the workers, applies the exactly-once verdict (nothing lost,
+/// nothing exhausted, nothing left live, every rid inside this seed's
+/// space), and appends the shared fields to `report`.
+int finish_ledger(const Args& args, const std::vector<LedgerRun>& runs,
+                  long live_flows_final, bool failed, double elapsed,
+                  Report report) {
+  LedgerRun all;
+  Totals& t = all.totals;
+  long errors_shown = 0;
+  for (const LedgerRun& r : runs) {
+    t.admits_sent += r.totals.admits_sent;
+    t.admits += r.totals.admits;
+    t.rejects += r.totals.rejects;
+    t.admit_sheds += r.totals.admit_sheds;
+    t.teardowns_sent += r.totals.teardowns_sent;
+    t.teardown_acks += r.totals.teardown_acks;
+    t.lost_acked += r.totals.lost_acked;
+    t.exhausted += r.totals.exhausted;
+    t.resends += r.totals.resends;
+    t.reconnects += r.totals.reconnects;
+    t.timeouts += r.totals.timeouts;
+    all.latencies_us.insert(all.latencies_us.end(), r.latencies_us.begin(),
+                            r.latencies_us.end());
+    if (r.rid_hi != 0) {
+      all.note_rid(r.rid_lo);
+      all.note_rid(r.rid_hi);
+    }
+    for (const std::string& e : r.errors) {
+      if (errors_shown++ < 20) {
+        std::fprintf(stderr, "loadgen: %s: %s\n", args.mode.c_str(),
+                     e.c_str());
       }
-      continue;
-    }
-    const RequestId rid = base | ++seq;
-    ++out->totals.admits_sent;
-    const auto op_start = Clock::now();
-    auto res = client.admit(make_request(args, i), rid);
-    if (res.is_ok()) {
-      ++out->totals.admits;
-      out->latencies_us.push_back(
-          std::chrono::duration<double, std::micro>(Clock::now() - op_start)
-              .count());
-      out->ledger.emplace_back(res.value().flow, rid);
-    } else if (res.status().code() == StatusCode::kRejected) {
-      ++out->totals.rejects;  // executed and denied — a real answer
-    } else {
-      ++out->totals.exhausted;
-      out->errors.push_back("admit rid " + std::to_string(rid) + ": " +
-                            res.status().message());
     }
   }
-  // Reconciliation: every acked admission must still be releasable. An
-  // "unknown flow" here is a LOST acked admission — the exactly-once
-  // violation this mode exists to catch.
-  for (const auto& [flow, admit_rid] : out->ledger) {
-    ++out->totals.teardowns_sent;
-    const Status s = client.teardown(flow, base | ++seq);
-    if (s.is_ok()) {
-      ++out->totals.teardown_acks;
-    } else if (s.code() == StatusCode::kNotFound) {
-      ++out->totals.lost_acked;
-      out->errors.push_back("acked flow " + std::to_string(flow) + " (rid " +
-                            std::to_string(admit_rid) +
-                            ") unknown at reconcile: " + s.message());
-    } else {
-      ++out->totals.exhausted;
-      out->errors.push_back("reconcile teardown flow " +
-                            std::to_string(flow) + ": " + s.message());
-    }
+  if (all.rid_hi == 0) all.rid_lo = 0;
+  if (t.lost_acked > 0 || t.exhausted > 0) failed = true;
+  if (live_flows_final > 0) {
+    std::fprintf(stderr,
+                 "loadgen: %s: %ld flows still live after reconciliation — "
+                 "duplicated admission(s)\n",
+                 args.mode.c_str(), live_flows_final);
+    failed = true;
   }
-  const RetryingClientStats& cs = client.stats();
-  out->totals.resends += static_cast<long>(cs.resends);
-  out->totals.reconnects += static_cast<long>(cs.reconnects);
-  out->totals.timeouts += static_cast<long>(cs.timeouts);
-  out->totals.admit_sheds += static_cast<long>(cs.sheds_seen);
+  if (all.rid_hi != 0 && ((all.rid_lo >> kSeedShift) != args.seed ||
+                          (all.rid_hi >> kSeedShift) != args.seed)) {
+    std::fprintf(stderr, "loadgen: %s: rids left the space of --seed=%lu\n",
+                 args.mode.c_str(), args.seed);
+    failed = true;
+  }
+
+  std::fprintf(stderr,
+               "loadgen: %s: %ld admits sent (%ld acked, %ld rejected), "
+               "%ld releases, %ld resends, %ld reconnects, %ld timeouts, "
+               "%ld sheds seen; lost_acked=%ld exhausted=%ld "
+               "live_flows_final=%ld rids [%llu, %llu] in %.3f s\n",
+               args.mode.c_str(), t.admits_sent, t.admits, t.rejects,
+               t.teardowns_sent, t.resends, t.reconnects, t.timeouts,
+               t.admit_sheds, t.lost_acked, t.exhausted, live_flows_final,
+               static_cast<unsigned long long>(all.rid_lo),
+               static_cast<unsigned long long>(all.rid_hi), elapsed);
+
+  emit(args, report.put("requests", t.admits_sent)
+                 .put("admits", t.admits)
+                 .put("rejects", t.rejects)
+                 .put("sheds_seen", t.admit_sheds)
+                 .put("teardowns", t.teardowns_sent)
+                 .put("releases", t.teardown_acks)
+                 .put("resends", t.resends)
+                 .put("reconnects", t.reconnects)
+                 .put("timeouts", t.timeouts)
+                 .put("exhausted", t.exhausted)
+                 .put("lost_acked", t.lost_acked)
+                 .put("live_flows_final", live_flows_final)
+                 .put("rid_lo", all.rid_lo)
+                 .put("rid_hi", all.rid_hi)
+                 .put("elapsed_s", elapsed)
+                 .put("admits_per_sec", per_sec(t.admits, elapsed))
+                 .raw("latency_us", latency_json(all.latencies_us)));
+  return failed ? 1 : 0;
 }
 
 int run_chaos(const Args& args) {
   const int threads = args.connections;
-  std::vector<ChaosThreadResult> results(static_cast<std::size_t>(threads));
+  std::vector<LedgerRun> runs(static_cast<std::size_t>(threads));
   std::vector<std::thread> workers;
   workers.reserve(static_cast<std::size_t>(threads));
   const auto start = Clock::now();
   for (int t = 0; t < threads; ++t) {
-    const long ops = args.requests / threads +
-                     (t < args.requests % threads ? 1 : 0);
-    workers.emplace_back(chaos_worker, std::cref(args), t, ops,
-                         &results[static_cast<std::size_t>(t)]);
+    workers.emplace_back([&args, &runs, threads, t] {
+      LedgerRun& run = runs[static_cast<std::size_t>(t)];
+      RetryingClient client(client_options(args, args.port, t));
+      // The CLIENT owns identity assignment, so rids survive restarts.
+      const RequestId base =
+          rid_base(args) | static_cast<RequestId>(t + 1) << kThreadShift;
+      RequestId seq = 0;
+      auto next_rid = [&] {
+        run.note_rid(base | ++seq);
+        return base | seq;
+      };
+      const long ops = args.requests / threads +
+                       (t < args.requests % threads ? 1 : 0);
+      run_ledger(
+          ops,
+          // Interleaved teardowns exercise dedup on the release path too.
+          [&](long i, std::size_t live) -> long {
+            return args.teardown_every > 0 && live > 0 &&
+                           (i + 1) % (args.teardown_every + 1) == 0
+                       ? 0
+                       : -1;
+          },
+          [&](long i) {
+            return client.admit(make_request(args, i), next_rid());
+          },
+          [&](FlowId flow) { return client.teardown(flow, next_rid()); },
+          &run);
+      add_transport(client.stats(), &run.totals);
+    });
   }
   for (std::thread& w : workers) w.join();
   const double elapsed =
       std::chrono::duration<double>(Clock::now() - start).count();
 
-  Totals totals;
-  std::vector<double> latencies_us;
-  long errors_shown = 0;
-  for (const ChaosThreadResult& r : results) {
-    totals.admits_sent += r.totals.admits_sent;
-    totals.admits += r.totals.admits;
-    totals.rejects += r.totals.rejects;
-    totals.admit_sheds += r.totals.admit_sheds;
-    totals.teardowns_sent += r.totals.teardowns_sent;
-    totals.teardown_acks += r.totals.teardown_acks;
-    totals.lost_acked += r.totals.lost_acked;
-    totals.exhausted += r.totals.exhausted;
-    totals.resends += r.totals.resends;
-    totals.reconnects += r.totals.reconnects;
-    totals.timeouts += r.totals.timeouts;
-    latencies_us.insert(latencies_us.end(), r.latencies_us.begin(),
-                        r.latencies_us.end());
-    for (const std::string& e : r.errors) {
-      if (errors_shown++ < 20) {
-        std::fprintf(stderr, "loadgen: chaos: %s\n", e.c_str());
-      }
-    }
-  }
-
-  // Orphan detection: after reconciliation the broker must hold ZERO live
-  // flows — a leftover is an admission executed twice (a retry the dedup
-  // window failed to absorb) that no ledger entry names.
   long live_flows_final = -1;
   bool failed = false;
   if (args.verify_drained) {
-    RetryingClient verifier(chaos_client_options(args, threads));
+    RetryingClient verifier(client_options(args, args.port, threads));
     auto health = verifier.health();
-    if (!health.is_ok()) {
+    if (health.is_ok()) {
+      live_flows_final = static_cast<long>(health.value().live_flows);
+    } else {
       std::fprintf(stderr, "loadgen: chaos: final health probe failed: %s\n",
                    health.status().to_string().c_str());
       failed = true;
-    } else {
-      live_flows_final = static_cast<long>(health.value().live_flows);
-      if (live_flows_final != 0) {
-        std::fprintf(stderr,
-                     "loadgen: chaos: %ld flows still live after "
-                     "reconciliation — duplicated admission(s)\n",
-                     live_flows_final);
-        failed = true;
-      }
     }
   }
-  if (totals.lost_acked > 0 || totals.exhausted > 0) failed = true;
+  return finish_ledger(args, runs, live_flows_final, failed, elapsed,
+                       Report().put("mode", args.mode).put("threads", threads));
+}
 
-  const double admits_per_sec =
-      elapsed > 0.0 ? static_cast<double>(totals.admits) / elapsed : 0.0;
-  std::fprintf(stderr,
-               "loadgen: chaos, %d threads: %ld admits sent "
-               "(%ld acked, %ld rejected), %ld teardowns, %ld resends, "
-               "%ld reconnects, %ld timeouts, %ld sheds seen; "
-               "lost_acked=%ld exhausted=%ld live_flows_final=%ld "
-               "in %.3f s\n",
-               threads, totals.admits_sent, totals.admits, totals.rejects,
-               totals.teardowns_sent, totals.resends, totals.reconnects,
-               totals.timeouts, totals.admit_sheds, totals.lost_acked,
-               totals.exhausted, live_flows_final, elapsed);
+/// A SocketMember that notes every RequestId it carries, so a federated
+/// run reports the rid range the coordinator actually used.
+class RidNotingMember : public SocketMember {
+ public:
+  RidNotingMember(int domain, RetryingClientOptions options, LedgerRun* run)
+      : SocketMember(domain, std::move(options)), run_(run) {}
 
-  char json[2048];
-  std::snprintf(
-      json, sizeof(json),
-      "{\n"
-      "  \"mode\": \"chaos\",\n"
-      "  \"threads\": %d,\n"
-      "  \"requests\": %ld,\n"
-      "  \"admits\": %ld,\n"
-      "  \"rejects\": %ld,\n"
-      "  \"sheds_seen\": %ld,\n"
-      "  \"teardowns\": %ld,\n"
-      "  \"teardown_acks\": %ld,\n"
-      "  \"resends\": %ld,\n"
-      "  \"reconnects\": %ld,\n"
-      "  \"timeouts\": %ld,\n"
-      "  \"exhausted\": %ld,\n"
-      "  \"lost_acked\": %ld,\n"
-      "  \"live_flows_final\": %ld,\n"
-      "  \"elapsed_s\": %.6f,\n"
-      "  \"admits_per_sec\": %.1f,\n"
-      "%s"
-      "}\n",
-      threads, totals.admits_sent, totals.admits, totals.rejects,
-      totals.admit_sheds, totals.teardowns_sent, totals.teardown_acks,
-      totals.resends, totals.reconnects, totals.timeouts, totals.exhausted,
-      totals.lost_acked, live_flows_final, elapsed, admits_per_sec,
-      latency_json(latencies_us).c_str());
-  emit_json(args, json);
-  return failed ? 1 : 0;
+  Result<Reservation> admit(const FlowServiceRequest& request,
+                            RequestId rid) override {
+    run_->note_rid(rid);
+    return SocketMember::admit(request, rid);
+  }
+  Status release(FlowId flow, RequestId rid) override {
+    run_->note_rid(rid);
+    return SocketMember::release(flow, rid);
+  }
+  Result<PrepareReply> prepare(const PrepareSegment& request) override {
+    run_->note_rid(request.rid_segment);
+    run_->note_rid(request.rid_contingency);
+    return SocketMember::prepare(request);
+  }
+  Result<SegmentAck> commit(const CommitSegment& request) override {
+    run_->note_rid(request.rid);
+    return SocketMember::commit(request);
+  }
+  Result<SegmentAck> abort(const AbortSegment& request) override {
+    run_->note_rid(request.rid_segment);
+    run_->note_rid(request.rid_contingency);
+    return SocketMember::abort(request);
+  }
+
+ private:
+  LedgerRun* run_;
+};
+
+FlowServiceRequest random_request(Rng& rng, const MultiDomainOptions& topo,
+                                  double rho) {
+  const auto fd = rng.uniform_int(0, topo.domains - 1);
+  const auto td = rng.uniform_int(fd, topo.domains - 1);
+  const auto fp = rng.uniform_int(0, topo.edge_pairs - 1);
+  const auto tp = rng.uniform_int(0, topo.edge_pairs - 1);
+  FlowServiceRequest req;
+  req.profile = TrafficProfile::make(/*sigma=*/24000.0, rho,
+                                     /*peak=*/2.0 * rho, /*l_max=*/12000.0);
+  const double delays[] = {0.8, 1.5, 2.0, 3.0};
+  req.e2e_delay_req = delays[rng.uniform_int(0, 3)];
+  req.ingress = "D" + std::to_string(fd) + "I" + std::to_string(fp);
+  req.egress = "D" + std::to_string(td) + "E" + std::to_string(tp);
+  return req;
+}
+
+int run_federated(const Args& args) {
+  MultiDomainOptions topo;
+  topo.domains = args.domains;
+  topo.edge_pairs = args.pairs;
+  const FederationPlan plan =
+      partition_multi_domain(multi_domain_topology(topo), topo.domains);
+
+  std::vector<LedgerRun> runs(1);
+  LedgerRun& run = runs.front();
+  std::vector<std::unique_ptr<RidNotingMember>> members;
+  std::vector<FederationMember*> raw;
+  for (int d = 0; d < plan.num_domains; ++d) {
+    members.push_back(std::make_unique<RidNotingMember>(
+        d, client_options(args, args.ports[static_cast<std::size_t>(d)], d),
+        &run));
+    raw.push_back(members.back().get());
+  }
+  FederatedFrontOptions front_options;
+  front_options.record_member_ops = args.audit != 0;
+  front_options.first_rid = rid_base(args) | 1;
+  FederatedFront front(plan, raw, front_options);
+
+  Rng rng(args.seed);
+  const double rho = args.rho_kbps * 1e3;
+  const auto start = Clock::now();
+  run_ledger(
+      args.requests,
+      [&](long, std::size_t live) -> long {
+        if (live == 0 || !rng.bernoulli(args.release_prob)) return -1;
+        return static_cast<long>(
+            rng.uniform_int(0, static_cast<std::int64_t>(live) - 1));
+      },
+      [&](long) {
+        return front.request_service(random_request(rng, topo, rho)).result;
+      },
+      [&](FlowId flow) { return front.release_service(flow); }, &run);
+  const double elapsed =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  for (const auto& m : members) add_transport(m->transport_stats(), &run.totals);
+
+  bool failed = false;
+  const FederationStats st = front.stats();
+  if (st.poisoned_txns > 0 || st.ack_failures > 0) {
+    std::fprintf(stderr,
+                 "loadgen: federated: poisoned_txns=%llu ack_failures=%llu "
+                 "— a member op exhausted its transport budget mid-2PC\n",
+                 static_cast<unsigned long long>(st.poisoned_txns),
+                 static_cast<unsigned long long>(st.ack_failures));
+    failed = true;
+  }
+  // Drain check per member, plus the op-log replay audit.
+  long live_flows_final = -1;
+  int audit_ok = -1;
+  auto digests = front.digests();
+  if (!digests.is_ok()) {
+    std::fprintf(stderr, "loadgen: federated: digest probe failed: %s\n",
+                 digests.status().to_string().c_str());
+    failed = true;
+  } else {
+    live_flows_final = 0;
+    for (int d = 0; d < plan.num_domains; ++d) {
+      const FederatedDigestReply& dig =
+          digests.value()[static_cast<std::size_t>(d)];
+      live_flows_final += static_cast<long>(dig.live_flows);
+      if (args.audit == 0) continue;
+      const MemberReplayReport replay = replay_member_ops(
+          plan.members[static_cast<std::size_t>(d)], BrokerOptions{},
+          front.member_ops(d));
+      if (replay.ok && replay.digest == dig.digest &&
+          replay.live_flows == dig.live_flows) {
+        if (audit_ok != 0) audit_ok = 1;
+        continue;
+      }
+      std::fprintf(stderr,
+                   "loadgen: federated: member %d replay %s: %08x/%llu "
+                   "flows vs live %08x/%llu — the member did not execute "
+                   "exactly the coordinator's op log\n",
+                   d, replay.ok ? "diverged" : replay.detail.c_str(),
+                   replay.digest,
+                   static_cast<unsigned long long>(replay.live_flows),
+                   dig.digest, static_cast<unsigned long long>(dig.live_flows));
+      audit_ok = 0;
+      failed = true;
+    }
+  }
+  return finish_ledger(args, runs, live_flows_final, failed, elapsed,
+                       Report()
+                           .put("mode", args.mode)
+                           .put("domains", args.domains)
+                           .put("pairs", args.pairs)
+                           .put("intra_admits", st.intra_admitted)
+                           .put("inter_admits", st.inter_admitted)
+                           .put("prepares", st.prepares)
+                           .put("prepare_failures", st.prepare_failures)
+                           .put("aborts", st.aborts)
+                           .put("poisoned_txns", st.poisoned_txns)
+                           .put("ack_failures", st.ack_failures)
+                           .put("audit_ok", audit_ok));
 }
 
 // ---------------------------------------------------------------------------
@@ -808,7 +1122,7 @@ int run_chaos(const Args& args) {
 // ---------------------------------------------------------------------------
 
 int run_probe(const Args& args) {
-  RetryingClient client(chaos_client_options(args, 0));
+  RetryingClient client(client_options(args, args.port, 0));
   long health_ok = 0, digest_ok = 0, digest_sheds = 0, brownout_seen = 0;
   bool failed = false;
   HealthReply last{};
@@ -856,46 +1170,28 @@ int run_probe(const Args& args) {
                static_cast<unsigned long long>(last.inflight),
                static_cast<unsigned long long>(last.live_flows));
 
-  const unsigned long long server_shed_total =
-      static_cast<unsigned long long>(last.shed_global) + last.shed_conn +
-      last.shed_deadline + last.shed_brownout;
-  char json[1536];
-  std::snprintf(
-      json, sizeof(json),
-      "{\n"
-      "  \"mode\": \"probe\",\n"
-      "  \"rounds\": %ld,\n"
-      "  \"health_ok\": %ld,\n"
-      "  \"digest_ok\": %ld,\n"
-      "  \"digest_sheds\": %ld,\n"
-      "  \"brownout_seen\": %ld,\n"
-      "  \"server_shed_total\": %llu,\n"
-      "  \"server_shed_global\": %llu,\n"
-      "  \"server_shed_conn\": %llu,\n"
-      "  \"server_shed_deadline\": %llu,\n"
-      "  \"server_shed_brownout\": %llu,\n"
-      "  \"server_reaped_partial\": %llu,\n"
-      "  \"server_reaped_idle\": %llu,\n"
-      "  \"server_inflight\": %llu,\n"
-      "  \"server_admits\": %llu,\n"
-      "  \"server_rejects\": %llu,\n"
-      "  \"server_live_flows\": %llu,\n"
-      "  \"server_journal_lsn\": %llu,\n"
-      "  \"elapsed_s\": %.6f\n"
-      "}\n",
-      args.requests, health_ok, digest_ok, digest_sheds, brownout_seen,
-      server_shed_total, static_cast<unsigned long long>(last.shed_global),
-      static_cast<unsigned long long>(last.shed_conn),
-      static_cast<unsigned long long>(last.shed_deadline),
-      static_cast<unsigned long long>(last.shed_brownout),
-      static_cast<unsigned long long>(last.reaped_partial),
-      static_cast<unsigned long long>(last.reaped_idle),
-      static_cast<unsigned long long>(last.inflight),
-      static_cast<unsigned long long>(last.admits),
-      static_cast<unsigned long long>(last.rejects),
-      static_cast<unsigned long long>(last.live_flows),
-      static_cast<unsigned long long>(last.journal_lsn), elapsed);
-  emit_json(args, json);
+  emit(args, Report()
+                 .put("mode", args.mode)
+                 .put("rounds", args.requests)
+                 .put("health_ok", health_ok)
+                 .put("digest_ok", digest_ok)
+                 .put("digest_sheds", digest_sheds)
+                 .put("brownout_seen", brownout_seen)
+                 .put("server_shed_total", last.shed_global + last.shed_conn +
+                                               last.shed_deadline +
+                                               last.shed_brownout)
+                 .put("server_shed_global", last.shed_global)
+                 .put("server_shed_conn", last.shed_conn)
+                 .put("server_shed_deadline", last.shed_deadline)
+                 .put("server_shed_brownout", last.shed_brownout)
+                 .put("server_reaped_partial", last.reaped_partial)
+                 .put("server_reaped_idle", last.reaped_idle)
+                 .put("server_inflight", last.inflight)
+                 .put("server_admits", last.admits)
+                 .put("server_rejects", last.rejects)
+                 .put("server_live_flows", last.live_flows)
+                 .put("server_journal_lsn", last.journal_lsn)
+                 .put("elapsed_s", elapsed));
   return failed ? 1 : 0;
 }
 
@@ -907,15 +1203,8 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  if (args.port == 0 && !args.port_file.empty()) {
-    std::ifstream pf(args.port_file);
-    pf >> args.port;
-  }
-  if (args.port <= 0 || args.port > 65535) {
-    std::fprintf(stderr, "loadgen: no server port (--port or --port-file)\n");
-    return 2;
-  }
   if (args.mode == "chaos") return run_chaos(args);
+  if (args.mode == "federated") return run_federated(args);
   if (args.mode == "probe") return run_probe(args);
   return run_poll_loop(args);
 }

@@ -1,6 +1,5 @@
 // hotpath-alloc fixture, CLEAN: the hot root only reads, grows sanctioned
 // scratch buffers, and pays allocation solely on the rejection sink.
-#include "fixture_support.h"
 
 namespace qosbb {
 

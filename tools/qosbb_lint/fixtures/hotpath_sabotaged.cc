@@ -1,6 +1,5 @@
 // hotpath-alloc fixture, SABOTAGED: the hot root (and a helper it calls)
 // allocate on the success path. The lint must flag every site.
-#include "fixture_support.h"
 
 namespace qosbb {
 

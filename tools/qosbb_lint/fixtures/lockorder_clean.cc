@@ -1,7 +1,6 @@
 // lock-order fixture, CLEAN: every acquisition respects the hierarchy
 // fed_mu_ (0) -> member_mu_ (1) -> big_ (2) -> flow_mu_ (3)
 // -> {shards, limiter_mu_} (4, leaves).
-#include "fixture_support.h"
 
 namespace qosbb {
 

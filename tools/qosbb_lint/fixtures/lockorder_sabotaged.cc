@@ -1,7 +1,6 @@
 // lock-order fixture, SABOTAGED: one instance of each violation class,
 // including a federation-layer inversion (member_mu_ -> fed_mu_).
 // The lint must flag all four; the fixture test inverts the exit code.
-#include "fixture_support.h"
 
 namespace qosbb {
 

@@ -1,6 +1,5 @@
 // status-discard fixture, CLEAN: every Status is consumed, and the one
 // deliberate discard carries the audit waiver.
-#include "fixture_support.h"
 
 namespace qosbb {
 

@@ -1,6 +1,5 @@
 // status-discard fixture, SABOTAGED: a bare discarded call and an
 // unwaived (void) discard. The lint must flag both.
-#include "fixture_support.h"
 
 namespace qosbb {
 

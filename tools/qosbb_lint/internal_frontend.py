@@ -5,8 +5,8 @@ row — including gcc, where clang's thread-safety annotations expand to
 nothing. It is a structural scanner, not a compiler: it understands the
 repo's clang-format-normalized shape (function definitions, brace scopes,
 call chains, guard declarations) and deliberately over-approximates where
-C++ is ambiguous. The clang JSON-AST frontend (clang_frontend.py) lowers
-to the identical IR from a real AST; CI runs the fixtures through both.
+C++ is ambiguous. The sabotage fixtures under fixtures/ pin what each
+check must catch through this frontend.
 """
 
 import re

@@ -1,10 +1,9 @@
-"""Common IR shared by the qosbb_lint frontends.
+"""The IR the qosbb_lint checks replay.
 
-Both frontends — the built-in tokenizer (works with any toolchain,
-including the gcc rows where clang's thread-safety annotations are inert)
-and the clang JSON-AST frontend (CI) — lower every function definition to
-the same flat event stream. The checks replay that stream; they never see
-frontend-specific detail.
+The frontend (internal_frontend.py, a built-in tokenizer that works with
+any toolchain, including the gcc rows where clang's thread-safety
+annotations are inert) lowers every function definition to a flat event
+stream. The checks replay that stream; they never see tokenizer detail.
 
 Events, in (approximate) execution order inside one function body:
 

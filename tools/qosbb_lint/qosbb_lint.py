@@ -11,12 +11,9 @@ Enforces three invariants the compilers cannot express end to end:
   changes-tags    every CHANGES.md PR ledger line carries its archetype
                   tag ('- PR N (archetype): ...')
 
-Two interchangeable frontends lower C++ to one event-stream IR:
-
-  internal        built-in tokenizer; zero toolchain dependency, used as
-                  the tree gate everywhere (default when clang is absent)
-  clang-json      `clang++ -Xclang -ast-dump=json` per TU, driven by the
-                  build tree's compile_commands.json (CI rows with clang)
+One frontend, a built-in tokenizer with no toolchain dependency
+(internal_frontend.py), lowers C++ to the event-stream IR of lint_ir.py;
+the checks replay that IR.
 
 Exit codes: 0 clean, 1 findings, 2 infrastructure error.
 """
@@ -25,15 +22,12 @@ import argparse
 import glob
 import json
 import os
-import shutil
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import checks  # noqa: E402
-import clang_frontend  # noqa: E402
 import internal_frontend  # noqa: E402
-from cpp_lexer import lex  # noqa: E402
 from lint_ir import Program  # noqa: E402
 
 
@@ -56,25 +50,6 @@ def project_files(root, config, explicit):
     return sorted(set(rels))
 
 
-def build_allow_map(root, files):
-    """relpath -> {line -> {tags}} waiver comments, for the clang frontend
-    (the internal frontend reads them from its own token stream)."""
-    allow = {}
-    for rel in files:
-        try:
-            with open(os.path.join(root, rel), "r", encoding="utf-8",
-                      errors="replace") as f:
-                _, file_allow = lex(f.read())
-        except OSError:
-            continue
-        if file_allow:
-            # A waiver comment on its own line covers the next line too.
-            for ln in sorted(file_allow):
-                file_allow.setdefault(ln + 1, set()).update(file_allow[ln])
-            allow[rel] = file_allow
-    return allow
-
-
 def run_internal(root, files, config):
     functions, decls = [], []
     for rel in files:
@@ -85,57 +60,11 @@ def run_internal(root, files, config):
     return functions, decls
 
 
-def run_clang(root, files, config, builddir, clangxx):
-    ccdb = os.path.join(builddir, "compile_commands.json")
-    if not os.path.isfile(ccdb):
-        raise RuntimeError(f"no compile_commands.json in {builddir} "
-                           f"(configure with -DCMAKE_EXPORT_COMPILE_COMMANDS=ON)")
-    with open(ccdb, "r", encoding="utf-8") as f:
-        entries = json.load(f)
-    wanted = set(files)
-    allow_by_file = build_allow_map(root, files)
-    functions, decls = [], []
-    seen_fn = set()  # headers appear in many TUs: dedup by (file,line,name)
-    seen_decl = set()
-    parsed = 0
-    for entry in entries:
-        rel = os.path.relpath(
-            os.path.realpath(os.path.join(entry.get("directory", root),
-                                          entry["file"])), root)
-        if rel not in wanted:
-            continue
-        fns, ds = clang_frontend.parse_tu(entry, clangxx, config, root,
-                                          allow_by_file)
-        parsed += 1
-        for fn in fns:
-            key = (fn.file, fn.line, fn.name)
-            if key in seen_fn:
-                continue
-            seen_fn.add(key)
-            functions.append(fn)
-        for d in ds:
-            if d in seen_decl:
-                continue
-            seen_decl.add(d)
-            decls.append(d)
-    if parsed == 0:
-        raise RuntimeError("no compile_commands entries matched the "
-                           "configured source set")
-    return functions, decls
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="qosbb_lint", description=__doc__)
     ap.add_argument("--root", default=".", help="repository root")
     ap.add_argument("--config", default=None,
                     help="config JSON (default: <script dir>/config.json)")
-    ap.add_argument("--frontend", default="auto",
-                    choices=["auto", "internal", "clang-json"])
-    ap.add_argument("-p", dest="builddir", default="build",
-                    help="build dir with compile_commands.json "
-                         "(clang-json frontend)")
-    ap.add_argument("--clang", default=None,
-                    help="clang++ binary for the clang-json frontend")
     ap.add_argument("--checks", default="lock-order,hotpath-alloc,"
                                         "status-discard,changes-tags",
                     help="comma-separated subset of checks to run")
@@ -161,40 +90,18 @@ def main(argv=None):
               file=sys.stderr)
         return 2
 
-    frontend = args.frontend
-    clangxx = args.clang
-    if frontend == "auto":
-        clangxx = clangxx or shutil.which("clang++")
-        has_ccdb = os.path.isfile(
-            os.path.join(args.builddir, "compile_commands.json"))
-        frontend = "clang-json" if (clangxx and has_ccdb) else "internal"
-    elif frontend == "clang-json":
-        clangxx = clangxx or shutil.which("clang++")
-        if not clangxx:
-            print("qosbb_lint: clang-json frontend requested but no "
-                  "clang++ found", file=sys.stderr)
-            return 2
-
     files = project_files(root, config, args.files)
     if not files:
         print("qosbb_lint: no source files matched", file=sys.stderr)
         return 2
 
-    try:
-        if frontend == "internal":
-            functions, decls = run_internal(root, files, config)
-        else:
-            functions, decls = run_clang(root, files, config,
-                                         args.builddir, clangxx)
-    except RuntimeError as e:
-        print(f"qosbb_lint: {e}", file=sys.stderr)
-        return 2
+    functions, decls = run_internal(root, files, config)
 
     program = Program(functions)
     findings = checks.run_checks(program, decls, config, enabled)
     for f in findings:
         print(f.render())
-    summary = (f"qosbb_lint[{frontend}]: {len(files)} files, "
+    summary = (f"qosbb_lint: {len(files)} files, "
                f"{len(functions)} functions, {len(findings)} finding(s) "
                f"[{','.join(enabled)}]")
     print(summary, file=sys.stderr)

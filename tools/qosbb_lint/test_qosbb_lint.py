@@ -4,14 +4,11 @@
 For each check we run the driver over a CLEAN fixture (must exit 0 with
 no findings) and a SABOTAGED fixture (must exit 1 and report the expected
 findings — the inverted-exit canary that proves the check can actually
-fire, the same discipline as `fuzz_broker --sabotage`). When clang++ is
-available the same matrix runs again through the clang-json frontend, so
-both lowerings stay in lockstep.
+fire, the same discipline as `fuzz_broker --sabotage`).
 """
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -39,44 +36,41 @@ MATRIX = {
 failures = []
 
 
-def run_driver(check, fixture, frontend, builddir=None):
+def run_driver(check, fixture):
     cmd = [sys.executable, DRIVER, "--root", ROOT,
-           "--config", FIXTURE_CONFIG, "--frontend", frontend,
+           "--config", FIXTURE_CONFIG,
            "--checks", check, os.path.join(FIXTURES, fixture)]
-    if builddir:
-        cmd += ["-p", builddir]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    return proc
+    return subprocess.run(cmd, capture_output=True, text=True)
 
 
-def check_pair(check, frontend, builddir=None):
+def check_pair(check):
     clean, sabotaged, needles, min_findings = MATRIX[check]
 
-    proc = run_driver(check, clean, frontend, builddir)
+    proc = run_driver(check, clean)
     if proc.returncode != 0:
         failures.append(
-            f"[{frontend}] {check}: clean fixture {clean} not clean "
+            f"{check}: clean fixture {clean} not clean "
             f"(exit {proc.returncode}):\n{proc.stdout}{proc.stderr}")
 
-    proc = run_driver(check, sabotaged, frontend, builddir)
+    proc = run_driver(check, sabotaged)
     lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
     if proc.returncode != 1:
         failures.append(
-            f"[{frontend}] {check}: sabotaged fixture {sabotaged} must "
+            f"{check}: sabotaged fixture {sabotaged} must "
             f"exit 1, got {proc.returncode}:\n{proc.stdout}{proc.stderr}")
         return
     if len(lines) < min_findings:
         failures.append(
-            f"[{frontend}] {check}: expected >= {min_findings} findings "
+            f"{check}: expected >= {min_findings} findings "
             f"in {sabotaged}, got {len(lines)}:\n{proc.stdout}")
     for needle in needles:
         if needle not in proc.stdout:
             failures.append(
-                f"[{frontend}] {check}: sabotage output missing "
+                f"{check}: sabotage output missing "
                 f"'{needle}':\n{proc.stdout}")
 
 
-def check_changes_pair(frontend, builddir=None):
+def check_changes_pair():
     """changes-tags operates on a markdown ledger, not a C++ TU: point the
     config's changes_file at a clean / sabotaged fixture ledger (a clean
     source TU is still passed so the driver has something to parse)."""
@@ -92,69 +86,35 @@ def check_changes_pair(frontend, builddir=None):
             with os.fdopen(fd, "w", encoding="utf-8") as f:
                 json.dump(cfg, f)
             cmd = [sys.executable, DRIVER, "--root", ROOT,
-                   "--config", tmpcfg, "--frontend", frontend,
-                   "--checks", "changes-tags",
+                   "--config", tmpcfg, "--checks", "changes-tags",
                    os.path.join(FIXTURES, "lockorder_clean.cc")]
-            if builddir:
-                cmd += ["-p", builddir]
             proc = subprocess.run(cmd, capture_output=True, text=True)
         finally:
             os.unlink(tmpcfg)
         if expect_clean:
             if proc.returncode != 0:
                 failures.append(
-                    f"[{frontend}] changes-tags: clean ledger {fixture} "
+                    f"changes-tags: clean ledger {fixture} "
                     f"not clean (exit {proc.returncode}):"
                     f"\n{proc.stdout}{proc.stderr}")
         else:
             lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
             if proc.returncode != 1 or len(lines) < 2:
                 failures.append(
-                    f"[{frontend}] changes-tags: sabotaged ledger "
+                    f"changes-tags: sabotaged ledger "
                     f"{fixture} must exit 1 with >= 2 findings, got exit "
                     f"{proc.returncode} / {len(lines)} finding(s):"
                     f"\n{proc.stdout}{proc.stderr}")
             elif "archetype tag" not in proc.stdout:
                 failures.append(
-                    f"[{frontend}] changes-tags: sabotage output missing "
+                    f"changes-tags: sabotage output missing "
                     f"'archetype tag':\n{proc.stdout}")
 
 
-def clang_builddir(tmp, clangxx):
-    """Fabricate a compile_commands.json covering every fixture TU."""
-    entries = []
-    for name in sorted(os.listdir(FIXTURES)):
-        if name.endswith(".cc"):
-            entries.append({
-                "directory": FIXTURES,
-                "command": f"{clangxx} -std=c++20 -c {name}",
-                "file": name,
-            })
-    with open(os.path.join(tmp, "compile_commands.json"), "w",
-              encoding="utf-8") as f:
-        json.dump(entries, f)
-    return tmp
-
-
 def main():
-    frontends = [("internal", None)]
-    clangxx = shutil.which("clang++")
-    tmp = None
-    if clangxx:
-        tmp = tempfile.mkdtemp(prefix="qosbb_lint_fixtures_")
-        frontends.append(("clang-json", clang_builddir(tmp, clangxx)))
-    else:
-        print("clang++ not found: running internal frontend only",
-              file=sys.stderr)
-
-    try:
-        for frontend, builddir in frontends:
-            for check in MATRIX:
-                check_pair(check, frontend, builddir)
-            check_changes_pair(frontend, builddir)
-    finally:
-        if tmp:
-            shutil.rmtree(tmp, ignore_errors=True)
+    for check in MATRIX:
+        check_pair(check)
+    check_changes_pair()
 
     if failures:
         print(f"{len(failures)} fixture expectation(s) FAILED:",
@@ -162,9 +122,8 @@ def main():
         for f in failures:
             print("  - " + f.replace("\n", "\n    "), file=sys.stderr)
         return 1
-    ran = ", ".join(f for f, _ in frontends)
     print(f"qosbb_lint fixtures OK ({len(MATRIX)} checks + changes-tags "
-          f"x clean+sabotage x [{ran}])")
+          f"x clean+sabotage)")
     return 0
 
 
