@@ -160,7 +160,7 @@ void BM_ConcurrentAdmit(benchmark::State& state) {
   constexpr int kChains = 8;
   if (state.thread_index() == 0) {
     bb = new BandwidthBroker(disjoint_chains(kChains));
-    front = new ConcurrentBrokerFront(*bb, 1);
+    front = new ConcurrentBrokerFront(*bb);
     front->exclusive([&](BandwidthBroker& b) {
       for (int i = 0; i < kChains; ++i) {
         if (!b.provision_path("I" + std::to_string(i),
@@ -216,7 +216,7 @@ void BM_BatchAdmit(benchmark::State& state) {
   const int k = static_cast<int>(state.range(1));
   BandwidthBroker bb(
       fig8_topology(Fig8Setting::kMixed, 60000.0 * (warm + k + 10)));
-  ConcurrentBrokerFront front(bb, 1);
+  ConcurrentBrokerFront front(bb);
   front.exclusive([&](BandwidthBroker& b) {
     if (!b.provision_path("I1", "E1").is_ok()) {
       state.SkipWithError("provisioning failed");

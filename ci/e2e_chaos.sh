@@ -3,9 +3,10 @@
 #
 #   1. crash-restart sweep — qosbbd runs on a journal while chaos-mode
 #      loadgen (RetryingClient per thread, client-assigned RequestIds)
-#      hammers it; the harness SIGKILLs the server every few hundred ms and
-#      restarts it on the SAME port and journal, at least CHAOS_KILLS
-#      times. Exactly-once is asserted from the outside: every acked
+#      hammers it; the harness SIGKILLs the server as soon as its journal
+#      has changed since the server last started (so every kill lands
+#      under live load, however short the runs) and restarts it on the
+#      SAME port and journal, at least CHAOS_KILLS times. Exactly-once is asserted from the outside: every acked
 #      admission must still be releasable at the end (teardown answered
 #      "unknown flow" = LOST), and after full reconciliation the broker
 #      must hold zero live flows (a leftover = DUPLICATED admission).
@@ -98,6 +99,8 @@ wait_port_file "$port_file" "$server_pid" || {
 }
 port="$(cat "$port_file")"
 
+journal_size() { stat -c %s "$journal" 2>/dev/null || echo 0; }
+
 run=0
 spawn_chaos_loadgen() {
   run=$((run + 1))
@@ -110,25 +113,38 @@ spawn_chaos_loadgen() {
 }
 spawn_chaos_loadgen
 
+# Return once the journal's size differs from $1 (its size when the server
+# last started) while loadgen is alive: the server has then served ops of
+# a live run, so the kill that follows lands under load. A run that ends
+# first is extended by a rerun against the surviving journal (flows are
+# reconciled, and the new seed gives the run RequestIds no earlier run
+# used; the per-run JSONs are all checked at the end). Bounded: after ~10 s
+# the kill goes ahead anyway and the "crossed a crash" check judges it.
+wait_kill_point() {
+  local base="$1"
+  for _ in $(seq 1 1000); do
+    if ! kill -0 "$loadgen_pid" 2>/dev/null; then
+      wait "$loadgen_pid" || {
+        echo "e2e_chaos: chaos loadgen FAILED mid-sweep" >&2
+        cat "$log_dir/p1.loadgen.log" >&2
+        exit 1
+      }
+      spawn_chaos_loadgen
+      base="$(journal_size)"
+    elif [[ "$(journal_size)" != "$base" ]]; then
+      return 0
+    fi
+    sleep 0.01
+  done
+}
+
 kills_done=0
 restarts_verified=0
 anchored_restarts=0
 max_tail=0
+start_size="$(journal_size)"
 while ((kills_done < kills)); do
-  sleep 0.3
-  if ! kill -0 "$loadgen_pid" 2>/dev/null; then
-    # The workload finished before we got all the kills in: extend it by
-    # rerunning against the surviving journal (flows are reconciled, and
-    # the new seed gives the run RequestIds no earlier run used). The
-    # per-run JSONs are all checked at the end.
-    wait "$loadgen_pid" || {
-      echo "e2e_chaos: chaos loadgen FAILED mid-sweep" >&2
-      cat "$log_dir/p1.loadgen.log" >&2
-      exit 1
-    }
-    spawn_chaos_loadgen
-    sleep 0.2
-  fi
+  wait_kill_point "$start_size"
   kill -9 "$server_pid" 2>/dev/null || true
   wait "$server_pid" 2>/dev/null || true
   kills_done=$((kills_done + 1))
@@ -153,6 +169,7 @@ while ((kills_done < kills)); do
     cat "$restart_log" >&2
     exit 1
   fi
+  start_size="$(journal_size)"
   # Bounded recovery: the replayed tail is at most the anchor threshold
   # plus the one slab whose append crossed it.
   anchor_bytes=""

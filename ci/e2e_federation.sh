@@ -5,9 +5,11 @@
 #   multi-domain topology (--topo=multidomain --domain-index=d) while
 #   loadgen --mode=federated — a FederatedFront over SocketMembers —
 #   drives a seeded mix of intra-domain delegations and inter-domain 2PC
-#   admissions against the fleet. Mid-run the harness SIGKILLs one member and restarts it on the
-#   SAME port and journal, at least FED_KILLS times; every restart must log
-#   a journal-recovery line before the next kill.
+#   admissions against the fleet. Mid-run the harness SIGKILLs one member
+#   as soon as its journal has changed since it last started (so every
+#   kill lands under live load, however short the runs) and restarts it on
+#   the SAME port and journal, at least FED_KILLS times; every restart must
+#   log a journal-recovery line before the next kill.
 #
 # Exactly-once across the crashes is asserted from the outside by
 # loadgen's own strict exit accounting, re-checked here from its JSON:
@@ -102,6 +104,8 @@ for ((d = 0; d < domains; d++)); do
   }
 done
 victim_port="$(cat "$log_dir/member.port.$victim")"
+victim_journal="$log_dir/member.$victim.wal"
+journal_size() { stat -c %s "$victim_journal" 2>/dev/null || echo 0; }
 
 run=0
 spawn_loadgen() {
@@ -123,29 +127,41 @@ spawn_loadgen() {
 }
 spawn_loadgen
 
+# Return once the victim's journal size differs from $1 (its size when the
+# victim last started) while loadgen is alive: the victim has then served
+# ops of a live run, so the kill that follows lands under load. A run that
+# ends first is extended by a fresh run (new seed, disjoint rids; every
+# run's JSON is checked at the end). Bounded: after ~10 s the kill goes
+# ahead anyway and the "crossed a crash" check judges it.
+wait_kill_point() {
+  local base="$1"
+  for _ in $(seq 1 1000); do
+    if ! kill -0 "$loadgen_pid" 2>/dev/null; then
+      wait "$loadgen_pid" || {
+        echo "e2e_federation: loadgen FAILED mid-sweep" >&2
+        cat "$log_dir/loadgen.log" >&2
+        exit 1
+      }
+      spawn_loadgen
+      base="$(journal_size)"
+    elif [[ "$(journal_size)" != "$base" ]]; then
+      return 0
+    fi
+    sleep 0.01
+  done
+}
+
 kills_done=0
+start_size="$(journal_size)"
 while ((kills_done < kills)); do
-  sleep 0.3
-  if ! kill -0 "$loadgen_pid" 2>/dev/null; then
-    # The workload finished before all the kills landed: extend the sweep
-    # with a fresh run (new seed, disjoint rids). Every run's JSON is
-    # checked at the end.
-    wait "$loadgen_pid" || {
-      echo "e2e_federation: loadgen FAILED mid-sweep" >&2
-      cat "$log_dir/loadgen.log" >&2
-      exit 1
-    }
-    spawn_loadgen
-    sleep 0.2
-  fi
+  wait_kill_point "$start_size"
   kill -9 "${member_pids[$victim]}" 2>/dev/null || true
   wait "${member_pids[$victim]}" 2>/dev/null || true
   kills_done=$((kills_done + 1))
   restart_log="$log_dir/member.$victim.restart$kills_done.log"
   "$qosbbd" --topo=multidomain --domains="$domains" \
     --domain-index="$victim" --port="$victim_port" \
-    --journal="$log_dir/member.$victim.wal" \
-    2>"$restart_log" &
+    --journal="$victim_journal" 2>"$restart_log" &
   member_pids[$victim]=$!
   # The restarted member must recover its journal (replayed bookings +
   # retained dedup window) and start listening before the next kill.
@@ -165,6 +181,7 @@ while ((kills_done < kills)); do
     cat "$restart_log" >&2
     exit 1
   fi
+  start_size="$(journal_size)"
 done
 
 loadgen_rc=0

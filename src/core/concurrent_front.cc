@@ -8,66 +8,32 @@
 
 namespace qosbb {
 
-WorkerPool::WorkerPool(int threads) {
-  const int n = std::max(1, threads);
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void WorkerPool::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop requested and drained
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    job();
-  }
-}
-
 namespace {
 
-/// Pre-filter verdict: a lock-free PREDICTION of the admission outcome,
-/// never a decision. kUnknown means neither conservative bound fired.
+/// Pre-filter verdict: a PREDICTION of the admission outcome, never a
+/// decision. kUnknown means neither conservative bound fired.
 enum class Prefilter { kAdmit, kReject, kUnknown };
 
-/// Lock-free admission pre-filter over per-link headroom reads (the
-/// relaxed-atomic utilization mirrors, or a batch's evolved snapshot
-/// scalars). Fast-reject fires when the request's sustained rate alone
-/// exceeds the optimistic headroom of some hop — any rate the full test
+/// Admission pre-filter over the per-link headroom scalars of a group's
+/// evolved snapshot. Fast-reject fires when the request's sustained rate
+/// alone exceeds the optimistic headroom of some hop — any rate the full test
 /// could grant is >= rho and <= C_res, so the test must reject too.
 /// Fast-accept fires only on rate-based-only paths, where it replicates
 /// the §3.1 comparisons verbatim (same r_min / r_low / r_up expressions,
 /// same epsilons, same buffer bound per hop); mixed paths additionally get
 /// the §3.2 pre-scan reject conditions (t^ν <= 0, r_floor0 over r_cap) but
 /// never a fast-accept — the Figure-4 interval scan cannot be summarized
-/// by two scalars. Against quiescent mirrors every implication is over
-/// bit-identical values, so the prediction always matches the full test;
-/// under live concurrency it is a stale hint, which is why callers always
-/// run the authoritative test regardless.
-template <typename ResidualFn, typename BufResidualFn>
+/// by two scalars. The full test reads the same snapshot, so every
+/// implication is over bit-identical values and the prediction always
+/// matches it; callers still run the authoritative test regardless.
 Prefilter prefilter_predict(const PathRecord& rec,
                             const TrafficProfile& profile, Seconds d_req,
-                            std::size_t nlinks, ResidualFn&& residual_of,
-                            BufResidualFn&& buf_residual_of) {
+                            const PathSnapshot& snap) {
   constexpr double kRateEps = 1e-6;  // the admission templates' b/s slack
+  const std::size_t nlinks = snap.storage.size();
   double c_res = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < nlinks; ++i) {
-    c_res = std::min(c_res, residual_of(i));
+    c_res = std::min(c_res, snap.storage[i].residual());
   }
   if (profile.rho > c_res + kRateEps) return Prefilter::kReject;
   if (rec.abstract.delay_based_count() == 0) {
@@ -81,7 +47,9 @@ Prefilter prefilter_predict(const PathRecord& rec,
       const Bits need = per_hop_buffer_bound(hops[i].kind, r_low, 0.0,
                                              profile.l_max,
                                              hops[i].error_term);
-      if (buf_residual_of(i) < need - 1e-6) return Prefilter::kReject;
+      if (snap.storage[i].buffer_residual() < need - 1e-6) {
+        return Prefilter::kReject;
+      }
     }
     return Prefilter::kAdmit;
   }
@@ -113,7 +81,7 @@ struct MemberPlan {
   AuditEntry audit;
 };
 
-// Per-thread reusable buffers for the fast path: once the vectors reach
+// Per-thread reusable buffers for the group path: once the vectors reach
 // path length, a request performs no heap allocation outside string
 // building.
 thread_local AdmissionScratch t_scratch;
@@ -125,37 +93,48 @@ thread_local std::vector<BookingDelta> t_batch_deltas;
 thread_local std::vector<const BookingDelta*> t_delta_ptrs;
 thread_local std::vector<std::size_t> t_order;  ///< execute_batch order
 
-/// Evolve a path snapshot by one member's committed-to-be booking: the
-/// delta's items are in hop order (make_delta walks snap.storage), so this
-/// is a parallel walk, followed by recomputing C_res^P with the same
-/// min-fold snapshot capture uses — the evolved values are bit-identical
-/// to the live state right after this member's commit.
-void evolve_snapshot(PathSnapshot* snap, const BookingDelta& delta) {
-  QOSBB_REQUIRE(delta.items.size() == snap->storage.size(),
+/// C_res^P once one member's committed-to-be booking lands on the path
+/// `snap` holds: the delta's items are in hop order (make_delta walks
+/// snap.storage), and each hop's residual takes the same double operations
+/// as the live reserve() (and LinkSnapshot::apply_booking), folded by the
+/// same min as snapshot capture — bit-identical to the live residual right
+/// after this member's commit.
+BitsPerSecond residual_after(const PathSnapshot& snap,
+                             const BookingDelta& delta) {
+  QOSBB_REQUIRE(delta.items.size() == snap.storage.size(),
                 "batch evolve: delta does not match path");
   BitsPerSecond res = std::numeric_limits<BitsPerSecond>::infinity();
+  for (std::size_t i = 0; i < snap.storage.size(); ++i) {
+    const LinkSnapshot& link = snap.storage[i];
+    res = std::min(res,
+                   link.capacity() - (link.reserved() + delta.items[i].rate));
+  }
+  return res;
+}
+
+/// Evolve a path snapshot by one member's committed-to-be booking, so the
+/// next member is tested against exactly the state this commit creates.
+void evolve_snapshot(PathSnapshot* snap, const BookingDelta& delta) {
+  snap->c_res = residual_after(*snap, delta);
   for (std::size_t i = 0; i < snap->storage.size(); ++i) {
     const LinkBooking& b = delta.items[i];
     snap->storage[i].apply_booking(b.rate, b.buffer, b.edf, b.delay, b.l_max);
-    res = std::min(res, snap->storage[i].residual());
   }
-  snap->c_res = res;
 }
 
 }  // namespace
 
-ConcurrentBrokerFront::ConcurrentBrokerFront(BandwidthBroker& bb, int threads)
+ConcurrentBrokerFront::ConcurrentBrokerFront(BandwidthBroker& bb, int)
     : bb_(bb),
       fast_eligible_(bb.options().path_selection == PathSelection::kMinHop &&
-                     !bb.options().allow_preemption),
-      pool_(threads) {
+                     !bb.options().allow_preemption) {
   ExclusiveLock guard(big_);
   warm_path_caches();
 }
 
 void ConcurrentBrokerFront::warm_path_caches() {
   // Resolving a path's cache entry is the only mutation link_states ever
-  // performs; doing it here, under exclusive big_, makes the fast path's
+  // performs; doing it here, under exclusive big_, makes the group path's
   // reads of the cache genuinely read-only.
   const std::size_t n = bb_.paths_.path_count();
   for (std::size_t i = 0; i < n; ++i) {
@@ -176,14 +155,11 @@ BitsPerSecond ConcurrentBrokerFront::residual_over(
 
 FrontOutcome ConcurrentBrokerFront::request_service(
     const FlowServiceRequest& request, Seconds now) {
-  if (fast_eligible_) {
-    SharedLock guard(big_);
-    FrontOutcome out;
-    if (try_request_fast(request, now, &out)) return out;
-    // Unprovisioned pair: fall through to the exclusive path, which routes
-    // and provisions before admitting.
-  }
-  return request_exclusive(request, now);
+  const SlabOp op = SlabOp::admit(kNoRequestId, request);
+  constexpr std::size_t kOrder[] = {0};
+  FrontOutcome out;
+  execute_ordered({&op, 1}, kOrder, now, {&out, 1});
+  return out;
 }
 
 FrontOutcome ConcurrentBrokerFront::request_exclusive(
@@ -194,102 +170,6 @@ FrontOutcome ConcurrentBrokerFront::request_exclusive(
   out.outcome = bb_.last_outcome_;
   warm_path_caches();  // the request may have provisioned new paths
   return out;
-}
-
-bool ConcurrentBrokerFront::try_request_fast(const FlowServiceRequest& request,
-                                             Seconds now, FrontOutcome* out)
-    NO_THREAD_SAFETY_ANALYSIS /* dynamic shard-lock sets; big_ held shared */ {
-  const std::vector<PathId>& candidates =
-      bb_.paths_.find_all_ref(request.ingress, request.egress);
-  if (candidates.empty()) return false;
-
-  ++bb_.stats_.requests;
-  AuditEntry audit = request_audit(request, now);
-  AdmissionOutcome outcome;
-  std::string detail;
-  if (!phase0_ok(request, now, 0, &outcome, &detail)) {
-    MutexLock fg(flow_mu_);
-    book_reject(outcome, detail, audit, out);
-    return true;
-  }
-
-  // Lock-free pre-filter: predict the admission verdict from the links'
-  // relaxed-atomic utilization mirrors before touching any shard lock. The
-  // prediction is recorded against the authoritative Phase-1 verdict below
-  // — it never short-circuits the test, so no admission decision can ever
-  // differ from the sequential broker's.
-  Prefilter pred = Prefilter::kUnknown;
-  if (candidates.size() == 1) {
-    const PathRecord& rec0 = bb_.paths_.record(candidates.front());
-    const std::vector<const LinkQosState*>& links0 =
-        bb_.paths_.link_states(candidates.front(), bb_.store_.nodes());
-    pred = prefilter_predict(
-        rec0, request.profile, request.e2e_delay_req, links0.size(),
-        [&links0](std::size_t i) {
-          return links0[i]->capacity() - links0[i]->opt_reserved();
-        },
-        [&links0](std::size_t i) {
-          return links0[i]->buffer_capacity() -
-                 links0[i]->opt_buffer_reserved();
-        });
-  }
-
-  // Phase 1: optimistic snapshot/test/commit per candidate. A commit
-  // conflict means some other request committed on a shared link since the
-  // snapshot — retry against fresh state (system-wide progress holds:
-  // every retry is caused by someone else's success).
-  PathId chosen = kInvalidPathId;
-  const std::vector<const LinkQosState*>* chosen_links = nullptr;
-  for (PathId candidate : candidates) {
-    const PathRecord& rec = bb_.paths_.record(candidate);
-    const std::vector<const LinkQosState*>& links =
-        bb_.paths_.link_states(candidate, bb_.store_.nodes());
-    for (;;) {
-      bb_.store_.snapshot_path(rec, links, &t_snap);
-      outcome = AdmissionEngine::test(t_snap, request.profile,
-                                      request.e2e_delay_req, &t_scratch);
-      if (!outcome.admitted) break;
-      AdmissionEngine::make_delta(t_snap, outcome.params, request.profile,
-                                  &t_delta);
-      if (bb_.store_.try_commit(t_delta)) {
-        chosen = candidate;
-        chosen_links = &links;
-        break;
-      }
-      occ_conflicts_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (chosen != kInvalidPathId) break;
-  }
-  t_snap.clear();  // release the shared knot arrays promptly
-
-  if (pred != Prefilter::kUnknown) {
-    record_prefilter(pred == Prefilter::kAdmit, chosen != kInvalidPathId);
-  }
-
-  if (chosen == kInvalidPathId) {
-    audit.path = candidates.front();
-    {
-      const std::vector<const LinkQosState*>& links =
-          bb_.paths_.link_states(audit.path, bb_.store_.nodes());
-      LinkStateStore::ShardLockSet sg(bb_.store_, links);
-      audit.path_residual = residual_over(links);
-    }
-    MutexLock fg(flow_mu_);
-    book_reject(outcome, outcome.detail, audit, out);  // the last candidate's
-    return true;
-  }
-
-  // Phase 2: flow-table bookkeeping and audit. The audit headroom is read
-  // back from the live links under their shard locks (the snapshot's value
-  // is pre-commit).
-  BitsPerSecond residual = 0.0;
-  {
-    LinkStateStore::ShardLockSet sg(bb_.store_, *chosen_links);
-    residual = residual_over(*chosen_links);
-  }
-  MutexLock fg(flow_mu_);
-  book_admit(request, chosen, outcome, residual, now, audit, out);
-  return true;
 }
 
 AuditEntry ConcurrentBrokerFront::request_audit(
@@ -411,10 +291,11 @@ void ConcurrentBrokerFront::execute_ordered(std::span<const SlabOp> ops,
     const std::span<const std::size_t> members = order.subspan(g, e - g);
     if (!fast_eligible_ || !try_group_fast(members, ops, now, outs)) {
       // Group shapes the single-snapshot path does not handle run
-      // per-member — which IS the slab's defined semantics (one-at-a-time
-      // in execution order), so this fallback is exact, just unamortized.
+      // per-member on the sequential broker — which IS the slab's defined
+      // semantics (one-at-a-time in execution order), so this fallback is
+      // exact, just unamortized.
       for (const std::size_t idx : members) {
-        outs[idx] = request_service(*ops[idx].request, now);
+        outs[idx] = request_exclusive(*ops[idx].request, now);
       }
     }
     g = e;
@@ -444,7 +325,7 @@ bool ConcurrentBrokerFront::try_group_fast(
   // The group path handles the canonical min-hop shape: exactly one
   // provisioned candidate. Unprovisioned pairs (need exclusive-mode
   // provisioning) and multi-candidate configurations (per-member candidate
-  // iteration) fall back to per-member execution.
+  // iteration) fall back to per-member exclusive execution.
   if (candidates.size() != 1) return false;
   const PathId chosen = candidates.front();
   const PathRecord& rec = bb_.paths_.record(chosen);
@@ -476,13 +357,10 @@ bool ConcurrentBrokerFront::try_group_fast(
       continue;
     }
 
-    // Pre-filter prediction against the evolved snapshot scalars (the
-    // batch-local equivalent of the live mirrors, which cannot yet reflect
-    // uncommitted in-batch members). Verified against the verdict below.
-    const Prefilter pred = prefilter_predict(
-        rec, request.profile, request.e2e_delay_req, t_snap.storage.size(),
-        [](std::size_t i) { return t_snap.storage[i].residual(); },
-        [](std::size_t i) { return t_snap.storage[i].buffer_residual(); });
+    // Pre-filter prediction against the evolved snapshot scalars, verified
+    // against the verdict below.
+    const Prefilter pred = prefilter_predict(rec, request.profile,
+                                             request.e2e_delay_req, t_snap);
 
     plan.outcome = AdmissionEngine::test(t_snap, request.profile,
                                          request.e2e_delay_req, &t_scratch);
@@ -494,7 +372,13 @@ bool ConcurrentBrokerFront::try_group_fast(
       BookingDelta& delta = t_batch_deltas[n_admitted];
       AdmissionEngine::make_delta(t_snap, plan.outcome.params,
                                   request.profile, &delta);
-      evolve_snapshot(&t_snap, delta);
+      // Only a later member reads the evolved links (evolving an EDF hop
+      // copies its knot array); after the last one C_res^P is enough.
+      if (m + 1 < k) {
+        evolve_snapshot(&t_snap, delta);
+      } else {
+        t_snap.c_res = residual_after(t_snap, delta);
+      }
       plan.admitted = true;
       plan.delta_slot = n_admitted++;
       ++inbatch_admits;
@@ -520,7 +404,7 @@ bool ConcurrentBrokerFront::try_group_fast(
   if (!committed) {
     // Some other thread committed on a shared link since the group
     // snapshot. Only the members that needed admission re-run, each
-    // through the standard per-request OCC retry loop (phase-0 results
+    // through this OCC retry loop — the front's only one (phase-0 results
     // stand — the limiter token was consumed and the policy decision was
     // valid when taken).
     occ_conflicts_.fetch_add(1, std::memory_order_relaxed);

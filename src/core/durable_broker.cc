@@ -355,7 +355,7 @@ Result<std::unique_ptr<DurableBroker>> DurableBroker::open(
   db->recovered_order_ = std::move(db->window_order_);
   db->window_order_.clear();
   db->window_cap_ = options.dedup_window;
-  db->open_front();
+  db->front_ = std::make_unique<ConcurrentBrokerFront>(*db->bb_);
   // A torn tail holds no acknowledged data — drop it so future appends
   // extend the clean prefix instead of a partial record.
   if (scan.torn_tail) {
@@ -365,10 +365,6 @@ Result<std::unique_ptr<DurableBroker>> DurableBroker::open(
     if (Status s = file.replace(clean); !s.is_ok()) return s;
   }
   return db;
-}
-
-void DurableBroker::open_front() {
-  front_ = std::make_unique<ConcurrentBrokerFront>(*bb_, /*threads=*/1);
 }
 
 const DurableBroker::Decision* DurableBroker::find_decision(
@@ -484,10 +480,8 @@ Status DurableBroker::checkpoint() {
   tail_bytes_ = 0;
   // Rebase the live ledgers onto the records the anchor holds: post-anchor
   // live state is then bit-equal to what recovery reconstructs from it.
-  front_.reset();
-  const Status rebased = bb_->rebase_ledgers();
-  open_front();
-  return rebased;
+  return front_->exclusive(
+      [](BandwidthBroker& bb) { return bb.rebase_ledgers(); });
 }
 
 Status DurableBroker::load_anchor(const JournalRecord& rec) {

@@ -224,9 +224,6 @@ class DurableBroker {
   /// rid field for client ops.
   Status log_decision(RequestId rid, JournalOpKind kind,
                       const WireBuffer& request, const WireBuffer& outcome);
-  /// Open the front over the broker (after recovery, and after a
-  /// checkpoint rebased the ledgers).
-  void open_front();
   /// Anchor once the tail has reached the anchor rule's threshold and no
   /// contingency grant is live (best effort; retried on later appends).
   void maybe_anchor();
@@ -244,7 +241,8 @@ class DurableBroker {
   JournalFile& file_;
   std::unique_ptr<BandwidthBroker> bb_;
   /// The live decision maker over *bb_; declared after it so it dies
-  /// first. Null while open() replays.
+  /// first. Null while open() replays; built once after that and kept for
+  /// the broker's lifetime (checkpoint() rebases under its exclusive mode).
   std::unique_ptr<ConcurrentBrokerFront> front_;
   std::uint64_t next_lsn_ = 1;
   std::uint64_t anchor_bytes_ = 0;

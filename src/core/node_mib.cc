@@ -107,7 +107,6 @@ Status LinkQosState::reserve_buffer(Bits b) {
                             std::to_string(b));
   }
   buffer_reserved_ += b;
-  opt_buffer_reserved_.store(buffer_reserved_, std::memory_order_relaxed);
   ++state_version_;
   return Status::ok();
 }
@@ -117,7 +116,6 @@ void LinkQosState::release_buffer(Bits b) {
   QOSBB_REQUIRE(buffer_reserved_ >= b - 1e-6,
                 "release_buffer: releasing more than reserved");
   buffer_reserved_ = std::max(0.0, buffer_reserved_ - b);
-  opt_buffer_reserved_.store(buffer_reserved_, std::memory_order_relaxed);
   ++state_version_;
 }
 
@@ -131,7 +129,6 @@ Status LinkQosState::reserve(BitsPerSecond r) {
                             std::to_string(r));
   }
   reserved_ += r;
-  opt_reserved_.store(reserved_, std::memory_order_relaxed);
   ++rate_version_;
   ++state_version_;
   return Status::ok();
@@ -142,7 +139,6 @@ void LinkQosState::release(BitsPerSecond r) {
   QOSBB_REQUIRE(reserved_ >= r - kRateTolerance,
                 "LinkQosState::release: releasing more than reserved");
   reserved_ = std::max(0.0, reserved_ - r);
-  opt_reserved_.store(reserved_, std::memory_order_relaxed);
   ++rate_version_;
   ++state_version_;
 }
@@ -151,8 +147,6 @@ void LinkQosState::clear_ledger() {
   reserved_ = 0.0;
   buffer_reserved_ = 0.0;
   flows_ = 0;
-  opt_reserved_.store(0.0, std::memory_order_relaxed);
-  opt_buffer_reserved_.store(0.0, std::memory_order_relaxed);
   edf_.clear();
   knots_dirty_ = true;
   ++rate_version_;
@@ -285,7 +279,7 @@ bool LinkQosState::edf_schedulable_with(BitsPerSecond r, Seconds d,
 NodeMib::NodeMib(const DomainSpec& spec) {
   for (const auto& l : spec.links) {
     const std::string key = l.from + "->" + l.to;
-    // In-place construction: LinkQosState is pinned (atomic members).
+    // In-place construction: LinkQosState is pinned (non-copyable).
     links_.try_emplace(key, key, l.capacity, l.policy,
                        spec.l_max / l.capacity, l.propagation_delay,
                        l.buffer);

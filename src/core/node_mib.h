@@ -11,7 +11,6 @@
 #ifndef QOSBB_CORE_NODE_MIB_H_
 #define QOSBB_CORE_NODE_MIB_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -80,8 +79,8 @@ class LinkQosState {
                Seconds error_term, Seconds propagation_delay,
                Bits buffer_capacity);
 
-  // The pre-filter mirror counters are atomics, so link state lives pinned
-  // in the MIB map — never copied or moved.
+  // Path caches hold pointers into the MIB map, so link state lives pinned
+  // there — never copied or moved.
   LinkQosState(const LinkQosState&) = delete;
   LinkQosState& operator=(const LinkQosState&) = delete;
 
@@ -125,20 +124,6 @@ class LinkQosState {
   Bits buffer_residual() const { return buffer_capacity_ - buffer_reserved_; }
   Status reserve_buffer(Bits b);
   void release_buffer(Bits b);
-
-  // --- Lock-free pre-filter mirrors (sledge-style utilization counters).
-  // Plain relaxed stores of reserved_/buffer_reserved_ written by every
-  // mutator WHILE IT HOLDS the shard lock, readable without any lock. In a
-  // quiescent state they are bit-equal to the locked values; a concurrent
-  // reader may observe a slightly stale value, which is why the pre-filter
-  // that reads them is only a verified hint (ConcurrentBrokerFront) and
-  // never a verdict. ---
-  double opt_reserved() const {
-    return opt_reserved_.load(std::memory_order_relaxed);
-  }
-  double opt_buffer_reserved() const {
-    return opt_buffer_reserved_.load(std::memory_order_relaxed);
-  }
 
   /// Drop every reservation: reserved rate and buffer, flow count and EDF
   /// entries (the knot cache rebuilds lazily, empty). The versions are
@@ -215,8 +200,6 @@ class LinkQosState {
   std::size_t flows_ = 0;
   std::uint64_t rate_version_ = 0;
   std::uint64_t state_version_ = 0;
-  std::atomic<double> opt_reserved_{0.0};
-  std::atomic<double> opt_buffer_reserved_{0.0};
   std::map<Seconds, EdfBucket> edf_;
   /// Lazily rebuilt mirror of edf_ as a flat sorted struct-of-arrays with
   /// prefix sums (the §3.2 S^k values and the OwnDeadline prefixes in one

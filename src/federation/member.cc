@@ -9,13 +9,12 @@ namespace qosbb {
 // ---- InProcessMember ----
 
 InProcessMember::InProcessMember(int domain, DomainSpec spec,
-                                 BrokerOptions options, int threads)
+                                 BrokerOptions options)
     : domain_(domain),
       spec_(std::move(spec)),
       options_(options),
-      threads_(threads),
       bb_(std::make_unique<BandwidthBroker>(spec_, options_)),
-      front_(std::make_unique<ConcurrentBrokerFront>(*bb_, threads_)) {}
+      front_(std::make_unique<ConcurrentBrokerFront>(*bb_)) {}
 
 Result<Reservation> InProcessMember::admit(const FlowServiceRequest& request,
                                            RequestId /*rid*/) {
@@ -116,7 +115,7 @@ Status InProcessMember::restore(const WireBuffer& frame) {
   if (!restored.is_ok()) return restored.status();
   front_.reset();  // drops the reference into the old broker first
   bb_ = std::move(restored).value();
-  front_ = std::make_unique<ConcurrentBrokerFront>(*bb_, threads_);
+  front_ = std::make_unique<ConcurrentBrokerFront>(*bb_);
   return Status::ok();
 }
 

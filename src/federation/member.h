@@ -7,7 +7,7 @@
 //
 //   * InProcessMember — a BandwidthBroker + ConcurrentBrokerFront embedded
 //     in the coordinator's process. Calls are plain function calls; intra
-//     admissions ride the front's optimistic fast path. Supports
+//     admissions ride the front's optimistic group path. Supports
 //     snapshot/restore, so an in-process federation can checkpoint
 //     consistently (FederatedFront::snapshot quiesces every member).
 //   * SocketMember — a RetryingClient speaking the wire protocol to a
@@ -57,8 +57,7 @@ class FederationMember {
 
 class InProcessMember : public FederationMember {
  public:
-  InProcessMember(int domain, DomainSpec spec, BrokerOptions options,
-                  int threads = 1);
+  InProcessMember(int domain, DomainSpec spec, BrokerOptions options);
 
   int domain() const override { return domain_; }
   Result<Reservation> admit(const FlowServiceRequest& request,
@@ -79,7 +78,6 @@ class InProcessMember : public FederationMember {
   int domain_;
   DomainSpec spec_;
   BrokerOptions options_;
-  int threads_;
   std::unique_ptr<BandwidthBroker> bb_;
   std::unique_ptr<ConcurrentBrokerFront> front_;
 };

@@ -170,7 +170,7 @@ MemberReplayReport replay_member_ops(const DomainSpec& spec,
                                      const std::vector<RecordedOp>& ops) {
   MemberReplayReport report;
   BandwidthBroker bb(spec, options);
-  ConcurrentBrokerFront front(bb, /*threads=*/1);
+  ConcurrentBrokerFront front(bb);
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const RecordedOp& op = ops[i];
     switch (op.kind) {

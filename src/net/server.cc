@@ -930,7 +930,7 @@ DifferentialReport run_differential_check(const DomainSpec& spec,
                                           const BandwidthBroker& live) {
   DifferentialReport rep;
   BandwidthBroker fresh(spec, options);
-  ConcurrentBrokerFront front(fresh, /*threads=*/1);
+  ConcurrentBrokerFront front(fresh);
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const RecordedOp& op = ops[i];
     std::ostringstream at;

@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,7 +68,7 @@ TEST(ConcurrentStress, DisjointChainsAdmitWithoutConflicts) {
   constexpr int kChains = 8;
   constexpr int kIters = 40;
   BandwidthBroker bb(disjoint_chains(kChains));
-  ConcurrentBrokerFront front(bb, 4);
+  ConcurrentBrokerFront front(bb);
   front.exclusive([&](BandwidthBroker& b) {
     for (int i = 0; i < kChains; ++i) {
       EXPECT_TRUE(b.provision_path("I" + std::to_string(i),
@@ -78,16 +77,16 @@ TEST(ConcurrentStress, DisjointChainsAdmitWithoutConflicts) {
     }
   });
 
-  // One job per chain, run concurrently on the pool: admit a fresh flow,
-  // release the previous one, so every chain keeps <= 2 live reservations
-  // (far below capacity — every admit must succeed).
-  std::vector<std::future<int>> jobs;
-  jobs.reserve(kChains);
+  // One thread per chain: admit a fresh flow, release the previous one,
+  // so every chain keeps <= 2 live reservations (far below capacity —
+  // every admit must succeed).
+  std::vector<int> admitted(kChains, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(kChains);
   for (int c = 0; c < kChains; ++c) {
-    jobs.push_back(front.pool().submit([&front, c] {
+    threads.emplace_back([&front, &admitted, c] {
       const std::string in = "I" + std::to_string(c);
       const std::string out = "E" + std::to_string(c);
-      int admitted = 0;
       FlowId live = kInvalidFlowId;
       for (int i = 0; i < kIters; ++i) {
         FlowServiceRequest req;
@@ -97,7 +96,7 @@ TEST(ConcurrentStress, DisjointChainsAdmitWithoutConflicts) {
         req.egress = out;
         FrontOutcome got = front.request_service(req);
         if (got.result.is_ok()) {
-          ++admitted;
+          ++admitted[c];
           if (live != kInvalidFlowId) {
             EXPECT_TRUE(front.release_service(live).is_ok());
           }
@@ -107,11 +106,11 @@ TEST(ConcurrentStress, DisjointChainsAdmitWithoutConflicts) {
       if (live != kInvalidFlowId) {
         EXPECT_TRUE(front.release_service(live).is_ok());
       }
-      return admitted;
-    }));
+    });
   }
+  for (std::thread& t : threads) t.join();
   int total = 0;
-  for (auto& j : jobs) total += j.get();
+  for (const int n : admitted) total += n;
 
   EXPECT_EQ(total, kChains * kIters);
   // Disjoint paths touch disjoint links: the optimistic commit must never
@@ -126,7 +125,7 @@ TEST(ConcurrentStress, DisjointChainsAdmitWithoutConflicts) {
 
 TEST(ConcurrentStress, OverlappingPathsRaceIsSerializable) {
   BandwidthBroker bb(fig8_topology(Fig8Setting::kMixed));
-  ConcurrentBrokerFront front(bb, 4);
+  ConcurrentBrokerFront front(bb);
   front.exclusive([](BandwidthBroker& b) {
     EXPECT_TRUE(b.provision_path("I1", "E1").is_ok());
     EXPECT_TRUE(b.provision_path("I2", "E2").is_ok());
@@ -231,7 +230,7 @@ TEST(ConcurrentStress, OverlappingPathsRaceIsSerializable) {
 
 TEST(ConcurrentStress, ExclusiveClassOpsInterleaveWithFastAdmits) {
   BandwidthBroker bb(fig8_topology(Fig8Setting::kMixed));
-  ConcurrentBrokerFront front(bb, 4);
+  ConcurrentBrokerFront front(bb);
   ClassId gold = kInvalidClassId;
   front.exclusive([&](BandwidthBroker& b) {
     EXPECT_TRUE(b.provision_path("I1", "E1").is_ok());

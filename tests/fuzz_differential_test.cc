@@ -137,8 +137,9 @@ TEST(FuzzBatched, BatchHeavyMixMatchesOneAtATime) {
 
 // Batched admission through the CONCURRENT front: submit_batch must be
 // bit-identical to the monolith executing the members one at a time, and
-// the utilization pre-filter must agree with the full admission test on
-// every prediction (asserted inside run_fuzz_threaded).
+// the admission pre-filter must agree with the full admission test on
+// every prediction (asserted inside run_fuzz_threaded) — of which there
+// must be some.
 TEST(FuzzBatched, ThreadedBatchHeavyMatchesMonolith) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     for (const FuzzTopology topo :
@@ -149,9 +150,10 @@ TEST(FuzzBatched, ThreadedBatchHeavyMatchesMonolith) {
       cfg.ops = 1000;
       cfg.topology = topo;
       cfg.batch_heavy = true;
-      const FuzzResult result = fuzz::run_fuzz_threaded(cfg, 4);
+      const FuzzResult result = fuzz::run_fuzz_threaded(cfg);
       ASSERT_TRUE(result.ok) << "seed " << seed << ": " << result.summary();
       EXPECT_GT(result.batch_admits, 100) << "seed " << seed;
+      EXPECT_GT(result.prefilter_checked, 0u) << "seed " << seed;
     }
   }
 }

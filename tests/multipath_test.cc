@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "core/broker.h"
+#include "core/concurrent_front.h"
 #include "topo/fig8.h"
 #include "topo/routing.h"
 
@@ -148,6 +152,78 @@ TEST(MultipathBroker, CandidatePathsOrderedByResidual) {
   ASSERT_TRUE(bb.nodes().link("A->E").reserve(1.0e6).is_ok());
   ids = bb.candidate_paths("I", "E");
   EXPECT_EQ(bb.paths().record(ids.value()[0]).hop_count(), 3);
+}
+
+/// Same verdict, flow, path, rate, delay and bound, bit for bit; same
+/// status text on a reject.
+void expect_same(const Result<Reservation>& plain,
+                 const Result<Reservation>& front) {
+  ASSERT_EQ(plain.is_ok(), front.is_ok());
+  if (!plain.is_ok()) {
+    EXPECT_EQ(plain.status().to_string(), front.status().to_string());
+    return;
+  }
+  EXPECT_EQ(plain.value().flow, front.value().flow);
+  EXPECT_EQ(plain.value().path, front.value().path);
+  EXPECT_EQ(plain.value().params.rate, front.value().params.rate);
+  EXPECT_EQ(plain.value().params.delay, front.value().params.delay);
+  EXPECT_EQ(plain.value().e2e_bound, front.value().e2e_bound);
+}
+
+TEST(MultipathBroker, FrontMatchesPlainBrokerOnTwoCandidates) {
+  // With k_paths = 2 the pair has two candidates, which the concurrent
+  // front's group path declines: every admit runs on the sequential
+  // broker. Verdicts, paths, rates and the snapshot frame must match a
+  // plain broker driven through the same sequence.
+  BrokerOptions opts;
+  opts.k_paths = 2;
+  BandwidthBroker plain(two_route_spec(), opts);
+  BandwidthBroker inner(two_route_spec(), opts);
+  ConcurrentBrokerFront front(inner);
+  std::set<PathId> paths;
+  int rejects = 0;
+  auto tally = [&](const Result<Reservation>& r) {
+    if (r.is_ok()) {
+      paths.insert(r.value().path);
+    } else {
+      ++rejects;
+    }
+  };
+
+  // One at a time past the 2-hop route's capacity onto the fallback.
+  std::vector<FlowId> live;
+  for (int i = 0; i < 40; ++i) {
+    const FlowServiceRequest req{type0(), i % 3 == 0 ? 1.0 : 2.44, "I", "E"};
+    const Result<Reservation> a = plain.request_service(req);
+    expect_same(a, front.request_service(req).result);
+    tally(a);
+    if (a.is_ok()) live.push_back(a.value().flow);
+  }
+  for (std::size_t i = 0; i < live.size(); i += 2) {
+    EXPECT_TRUE(plain.release_service(live[i]).is_ok());
+    EXPECT_TRUE(front.release_service(live[i]).is_ok());
+  }
+
+  // A batch that fills both routes and runs on into rejects; the plain
+  // reference admits its members one at a time in grouped order.
+  const std::vector<FlowServiceRequest> batch(
+      60, FlowServiceRequest{type0(), 2.44, "I", "E"});
+  const std::vector<FrontOutcome> got = front.submit_batch(batch);
+  ASSERT_EQ(got.size(), batch.size());
+  for (const std::size_t j : batch_grouped_order(batch)) {
+    const Result<Reservation> a = plain.request_service(batch[j]);
+    expect_same(a, got[j].result);
+    tally(a);
+  }
+  EXPECT_EQ(paths.size(), 2u);
+  EXPECT_GT(rejects, 0);
+
+  const auto sa = plain.snapshot();
+  const auto sb =
+      front.exclusive([](BandwidthBroker& b) { return b.snapshot(); });
+  ASSERT_TRUE(sa.is_ok());
+  ASSERT_TRUE(sb.is_ok());
+  EXPECT_EQ(sa.value(), sb.value());
 }
 
 }  // namespace

@@ -195,7 +195,7 @@ class NetServerTest : public ::testing::Test {
     topo.bottleneck_capacity = 4e9;
     spec_ = dumbbell_topology(topo);
     bb_ = std::make_unique<BandwidthBroker>(spec_, broker_options_);
-    front_ = std::make_unique<ConcurrentBrokerFront>(*bb_, 1);
+    front_ = std::make_unique<ConcurrentBrokerFront>(*bb_);
     server_ = std::make_unique<QosbbServer>(*front_, opts);
     ASSERT_TRUE(server_->start().is_ok());
     ASSERT_TRUE(server_->provision_pair("I0", "E0").is_ok());
@@ -1228,7 +1228,7 @@ class TwoModeServerTest : public ::testing::Test {
     topo.bottleneck_capacity = 4e9;
     spec_ = dumbbell_topology(topo);
     bb_ = std::make_unique<BandwidthBroker>(spec_, BrokerOptions{});
-    front_ = std::make_unique<ConcurrentBrokerFront>(*bb_, 1);
+    front_ = std::make_unique<ConcurrentBrokerFront>(*bb_);
     path_ = ::testing::TempDir() + "/qosbb_net_two_mode_wal.bin";
     std::remove(path_.c_str());
     file_ = std::make_unique<FsJournalFile>(path_);

@@ -20,9 +20,9 @@
 // under single-bit corruption (run_crash_sweep). With --sabotage it instead
 // requires every sweep to detect the dropped append.
 //
-// --threads=N switches to the concurrent-front differential
+// --threads=N (any N >= 1) switches to the concurrent-front differential
 // (run_fuzz_threaded): the same op sequences replayed through a
-// ConcurrentBrokerFront with an N-thread worker pool, barrier-sequentialized,
+// ConcurrentBrokerFront, each op on its own thread joined before the next,
 // and required to be bit-identical to the sequential monolith after every op.
 //
 // --batch widens the kBatchAdmit slice of the generated op mix (~6% ->
@@ -279,7 +279,7 @@ int main(int argc, char** argv) {
     for (std::uint64_t seed = args.seed_lo; seed <= args.seed_hi; ++seed) {
       const FuzzConfig cfg = make_config(args, seed, topo);
       const FuzzResult result =
-          args.threads > 0 ? qosbb::fuzz::run_fuzz_threaded(cfg, args.threads)
+          args.threads > 0 ? qosbb::fuzz::run_fuzz_threaded(cfg)
                            : qosbb::fuzz::run_fuzz(cfg);
       std::printf("%sseed %llu %s: %s\n",
                   args.threads > 0 ? "threaded " : "",

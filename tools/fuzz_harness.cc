@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <thread>
+#include <type_traits>
 #include <unordered_map>
 
 #include "core/broker.h"
@@ -219,6 +223,25 @@ TrafficProfile op_profile(const FuzzOp& op) {
 
 std::size_t pick(std::int64_t target, std::size_t size) {
   return static_cast<std::size_t>(target % static_cast<std::int64_t>(size));
+}
+
+/// Every field of two reservations, floats bit-for-bit. On a mismatch,
+/// `*why` names `context` and both sides (`a_name`'s first).
+bool reservations_identical(const Reservation& a, const Reservation& b,
+                            const std::string& context, const char* a_name,
+                            const char* b_name, std::string* why) {
+  if (a.flow == b.flow && a.path == b.path && a.params.rate == b.params.rate &&
+      a.params.delay == b.params.delay && a.e2e_bound == b.e2e_bound &&
+      a.preempted == b.preempted) {
+    return true;
+  }
+  std::ostringstream os;
+  os.precision(17);
+  os << context << " reservation mismatch: " << a_name << " flow " << a.flow
+     << " path " << a.path << " r " << a.params.rate << " vs " << b_name
+     << " flow " << b.flow << " path " << b.path << " r " << b.params.rate;
+  *why = os.str();
+  return false;
 }
 
 /// Deterministic members for one kBatchAdmit op: 2-8 requests derived from
@@ -456,17 +479,9 @@ bool execute_op(ExecState& st, const FuzzOp& op, const FuzzConfig& cfg,
           return false;
         }
         if (got[j].is_ok()) {
-          const Reservation& a = got[j].value();
-          const Reservation& b = ref[j].value();
-          if (a.flow != b.flow || a.path != b.path ||
-              a.params.rate != b.params.rate ||
-              a.params.delay != b.params.delay ||
-              a.e2e_bound != b.e2e_bound || a.preempted != b.preempted) {
-            os << "batch member " << j << " reservation mismatch: batched "
-               << "flow " << a.flow << " r " << a.params.rate
-               << " vs one-at-a-time flow " << b.flow << " r "
-               << b.params.rate;
-            *why = os.str();
+          if (!reservations_identical(got[j].value(), ref[j].value(),
+                                      "batch member " + std::to_string(j),
+                                      "batched", "one-at-a-time", why)) {
             return false;
           }
         } else if (got[j].status().to_string() !=
@@ -950,7 +965,11 @@ std::string FuzzResult::summary() const {
      << " releases, " << renegotiations << " renegotiations, " << joins
      << " joins, " << leaves << " leaves, " << snapshots << " snapshots, "
      << recoveries << " recoveries, " << redeliveries << " redeliveries, "
-     << batch_admits << " batches)";
+     << batch_admits << " batches";
+  if (prefilter_checked > 0) {
+    os << ", " << prefilter_checked << " pre-filter checks";
+  }
+  os << ")";
   if (!ok) os << "\n  op " << divergence_op << ": " << divergence;
   return os.str();
 }
@@ -1067,6 +1086,26 @@ FuzzResult run_fuzz(const FuzzConfig& cfg) {
 
 namespace {
 
+/// Run `fn` on a new OS thread and join it: op i of the threaded replay
+/// never runs on op i-1's thread, so the front's thread-local scratch
+/// crosses threads, and at most one op thread is alive at a time. An
+/// exception `fn` throws is rethrown here.
+template <typename F>
+auto on_own_thread(F&& fn) -> std::invoke_result_t<F&> {
+  std::optional<std::invoke_result_t<F&>> out;
+  std::exception_ptr error;
+  std::thread t([&] {
+    try {
+      out.emplace(fn());
+    } catch (...) {
+      error = std::current_exception();
+    }
+  });
+  t.join();
+  if (error) std::rethrow_exception(error);
+  return std::move(*out);
+}
+
 /// Bit-exact AdmissionOutcome comparison for the threaded differential.
 /// The front's snapshot-based test and the monolith's live test share the
 /// templated admission core, so every field — including the Figure-4 scan
@@ -1096,9 +1135,46 @@ bool outcomes_identical(const AdmissionOutcome& mono,
   return false;
 }
 
+/// The two audit logs hold the same entries, field for field — among them
+/// each decision's path headroom, which the front takes from its evolved
+/// group snapshot and the monolith from the live links.
+bool audit_logs_identical(const AuditLog& mono, const AuditLog& front,
+                          std::string* why) {
+  std::ostringstream os;
+  os.precision(17);
+  if (mono.total_recorded() != front.total_recorded() ||
+      mono.size() != front.size()) {
+    os << "audit split: monolith recorded " << mono.total_recorded()
+       << ", front " << front.total_recorded();
+    *why = os.str();
+    return false;
+  }
+  for (std::size_t k = 0; k < mono.size(); ++k) {
+    const AuditEntry& a = mono.entries()[k];
+    const AuditEntry& b = front.entries()[k];
+    if (a.time != b.time || a.kind != b.kind || a.admitted != b.admitted ||
+        a.reason != b.reason || a.flow != b.flow || a.path != b.path ||
+        a.ingress != b.ingress || a.egress != b.egress ||
+        a.requested_rho != b.requested_rho ||
+        a.requested_delay != b.requested_delay ||
+        a.granted_rate != b.granted_rate ||
+        a.granted_delay != b.granted_delay ||
+        a.path_residual != b.path_residual || a.detail != b.detail) {
+      os << "audit entry " << k << " differs: monolith (flow " << a.flow
+         << ", admitted " << a.admitted << ", residual " << a.path_residual
+         << ", '" << a.detail << "') vs front (flow " << b.flow
+         << ", admitted " << b.admitted << ", residual " << b.path_residual
+         << ", '" << b.detail << "')";
+      *why = os.str();
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
-FuzzResult run_fuzz_threaded(const FuzzConfig& cfg, int threads) {
+FuzzResult run_fuzz_threaded(const FuzzConfig& cfg) {
   FuzzResult result;
   const std::vector<FuzzOp> ops = generate_ops(cfg);
   result.ops = ops;
@@ -1110,9 +1186,9 @@ FuzzResult run_fuzz_threaded(const FuzzConfig& cfg, int threads) {
 
   // The reference: the plain sequential broker, driven directly. The
   // subject: an identical broker behind the concurrent front, every per-flow
-  // op dispatched onto the worker pool (rotating across threads) and joined
-  // before the next op — so the interleaving is sequential but the code
-  // path is the concurrent one: snapshot, lock-free test, OCC commit.
+  // op run on its own thread and joined before the next op — so the
+  // interleaving is sequential but the code path is the concurrent one:
+  // snapshot, lock-free test, OCC commit.
   BandwidthBroker mono(spec, options);
   BandwidthBroker subject(spec, options);
 
@@ -1124,7 +1200,7 @@ FuzzResult run_fuzz_threaded(const FuzzConfig& cfg, int threads) {
   classes.push_back(mono.define_class(2.19, 0.10, "gold"));
   classes.push_back(mono.define_class(3.0, 0.15, "silver"));
 
-  ConcurrentBrokerFront front(subject, threads);
+  ConcurrentBrokerFront front(subject);
   front.exclusive([&](BandwidthBroker& b) {
     for (const auto& [in, out] : pairs) {
       QOSBB_REQUIRE(b.provision_path(in, out).is_ok(),
@@ -1152,7 +1228,8 @@ FuzzResult run_fuzz_threaded(const FuzzConfig& cfg, int threads) {
                                cfg.allow_preemption ? op.priority : 0};
         auto rm = mono.request_service(req, now);
         const AdmissionOutcome mo = mono.last_outcome();
-        FrontOutcome fo = front.submit_request(req, now).get();
+        FrontOutcome fo =
+            on_own_thread([&] { return front.request_service(req, now); });
         if (rm.is_ok() != fo.result.is_ok()) {
           os << "admit decision split: monolith "
              << (rm.is_ok() ? "admitted" : "rejected") << ", front "
@@ -1163,15 +1240,8 @@ FuzzResult run_fuzz_threaded(const FuzzConfig& cfg, int threads) {
         if (!outcomes_identical(mo, fo.outcome, &why)) break;
         if (rm.is_ok()) {
           const Reservation& a = rm.value();
-          const Reservation& b = fo.result.value();
-          if (a.flow != b.flow || a.path != b.path ||
-              a.params.rate != b.params.rate ||
-              a.params.delay != b.params.delay ||
-              a.e2e_bound != b.e2e_bound || a.preempted != b.preempted) {
-            os << "reservation mismatch: monolith flow " << a.flow
-               << " path " << a.path << " r " << a.params.rate << " vs front "
-               << b.flow << " path " << b.path << " r " << b.params.rate;
-            why = os.str();
+          if (!reservations_identical(a, fo.result.value(), "admit",
+                                      "monolith", "front", &why)) {
             break;
           }
           for (FlowId victim : a.preempted) std::erase(per_flow, victim);
@@ -1202,7 +1272,7 @@ FuzzResult run_fuzz_threaded(const FuzzConfig& cfg, int threads) {
           mo[j] = mono.last_outcome();
         }
         const std::vector<FrontOutcome> fo =
-            front.submit_batch_request(reqs, now).get();
+            on_own_thread([&] { return front.submit_batch(reqs, now); });
         QOSBB_REQUIRE(fo.size() == reqs.size(),
                       "fuzz-threaded: batch result arity");
         for (std::size_t j = 0; j < reqs.size() && why.empty(); ++j) {
@@ -1218,18 +1288,9 @@ FuzzResult run_fuzz_threaded(const FuzzConfig& cfg, int threads) {
             break;
           }
           if (rm[j].is_ok()) {
-            const Reservation& a = rm[j].value();
-            const Reservation& b = fo[j].result.value();
-            if (a.flow != b.flow || a.path != b.path ||
-                a.params.rate != b.params.rate ||
-                a.params.delay != b.params.delay ||
-                a.e2e_bound != b.e2e_bound || a.preempted != b.preempted) {
-              os << "batch member " << j
-                 << " reservation mismatch: monolith flow " << a.flow
-                 << " path " << a.path << " r " << a.params.rate
-                 << " vs front " << b.flow << " path " << b.path << " r "
-                 << b.params.rate;
-              why = os.str();
+            if (!reservations_identical(rm[j].value(), fo[j].result.value(),
+                                        "batch member " + std::to_string(j),
+                                        "monolith", "front", &why)) {
               break;
             }
           } else if (rm[j].status().to_string() !=
@@ -1261,7 +1322,8 @@ FuzzResult run_fuzz_threaded(const FuzzConfig& cfg, int threads) {
         const std::size_t idx = pick(op.target, per_flow.size());
         const FlowId id = per_flow[idx];
         const Status a = mono.release_service(id);
-        const Status b = front.submit_release(id).get();
+        const Status b =
+            on_own_thread([&] { return front.release_service(id); });
         if (a.to_string() != b.to_string()) {
           why = "release status mismatch: monolith '" + a.to_string() +
                 "' vs front '" + b.to_string() + "'";
@@ -1281,7 +1343,8 @@ FuzzResult run_fuzz_threaded(const FuzzConfig& cfg, int threads) {
         const FlowId id = per_flow[pick(op.target, per_flow.size())];
         auto rm = mono.renegotiate_service(id, op.d_req, now);
         const AdmissionOutcome mo = mono.last_outcome();
-        FrontOutcome fo = front.submit_renegotiate(id, op.d_req, now).get();
+        FrontOutcome fo = on_own_thread(
+            [&] { return front.renegotiate_service(id, op.d_req, now); });
         if (rm.is_ok() != fo.result.is_ok()) {
           os << "renegotiation split for flow " << id << ": monolith "
              << (rm.is_ok() ? "admitted" : "rejected") << ", front "
@@ -1291,14 +1354,10 @@ FuzzResult run_fuzz_threaded(const FuzzConfig& cfg, int threads) {
         }
         if (!outcomes_identical(mo, fo.outcome, &why)) break;
         if (rm.is_ok()) {
-          const Reservation& a = rm.value();
-          const Reservation& b = fo.result.value();
-          if (a.flow != b.flow || a.path != b.path ||
-              a.params.rate != b.params.rate ||
-              a.params.delay != b.params.delay ||
-              a.e2e_bound != b.e2e_bound) {
-            os << "renegotiated reservation mismatch for flow " << id;
-            why = os.str();
+          if (!reservations_identical(
+                  rm.value(), fo.result.value(),
+                  "renegotiation of flow " + std::to_string(id), "monolith",
+                  "front", &why)) {
             break;
           }
         } else if (rm.status().to_string() !=
@@ -1473,6 +1532,8 @@ FuzzResult run_fuzz_threaded(const FuzzConfig& cfg, int threads) {
            << subject.stats().admitted.load() << "/"
            << subject.stats().total_rejected();
         why = os.str();
+      } else {
+        audit_logs_identical(mono.audit(), subject.audit(), &why);
       }
     }
     ++result.ops_executed;
@@ -1489,6 +1550,7 @@ FuzzResult run_fuzz_threaded(const FuzzConfig& cfg, int threads) {
   // broker, so a single disagreement with the full admission test is a bug
   // in the pre-filter's conservative bounds.
   const auto pf = front.prefilter_stats();
+  result.prefilter_checked = pf.checked;
   if (pf.agreed != pf.checked) {
     result.ok = false;
     result.divergence_op = static_cast<int>(ops.size()) - 1;

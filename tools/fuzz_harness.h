@@ -135,6 +135,7 @@ struct FuzzResult {
   int recoveries = 0;
   int redeliveries = 0;
   int batch_admits = 0;  ///< kBatchAdmit ops (members count into admits/rejects)
+  std::uint64_t prefilter_checked = 0;  ///< threaded: pre-filter predictions
 
   std::string summary() const;
 };
@@ -148,25 +149,25 @@ FuzzResult run_fuzz(const FuzzConfig& cfg);
 FuzzResult replay(const FuzzConfig& cfg, const std::vector<FuzzOp>& ops);
 
 /// Differential THREADED replay: run the generated sequence through a
-/// sequential monolith broker and through a ConcurrentBrokerFront whose
-/// worker pool has `threads` threads, dispatching each per-flow op onto the
-/// pool and joining its future before issuing the next (a
-/// barrier-sequentialized schedule). After every op the two brokers must
-/// agree bit-for-bit: decision, reservation parameters, reject reason and
-/// detail, status text, per-link (reserved, buffer) floats, flow
-/// population, and aggregate stats; snapshot ops must produce byte-equal
-/// frames. kBatchAdmit ops run their admits (no releases are drawn in;
+/// sequential monolith broker and through a ConcurrentBrokerFront, running
+/// each per-flow op on its own OS thread and joining it before issuing the
+/// next (a barrier-sequentialized schedule in which the front's
+/// thread-local scratch crosses threads; at most one op thread is alive at
+/// a time). After every op the two brokers must agree bit-for-bit:
+/// decision, reservation parameters, reject reason and detail, status text,
+/// per-link (reserved, buffer) floats, flow population, aggregate stats
+/// and every audit-log entry; snapshot ops must produce byte-equal frames.
+/// kBatchAdmit ops run their admits (no releases are drawn in;
 /// the journaled harness, whose DurableBroker decides through the same
 /// front, covers mixed slabs) through ConcurrentBrokerFront::submit_batch
 /// against a member-at-a-time monolith reference in batch_grouped_order.
 /// Journal-layer ops (kCrashRecover, kRedeliver) are skipped — this
 /// mode proves the decomposed front is observationally identical to the
 /// monolith, not durability (run_fuzz covers that). The front's broker
-/// passes a full oracle_check_state audit at the end, and the utilization
+/// passes a full oracle_check_state audit at the end, and the admission
 /// pre-filter must have agreed with the full admission test on EVERY
-/// prediction it made (the schedule is barrier-sequentialized, so each
-/// prediction ran against a quiescent broker).
-FuzzResult run_fuzz_threaded(const FuzzConfig& cfg, int threads);
+/// prediction it made (FuzzResult::prefilter_checked counts them).
+FuzzResult run_fuzz_threaded(const FuzzConfig& cfg);
 
 /// Greedy chunked minimization (ddmin-lite): truncate at the divergence,
 /// then repeatedly drop chunks whose removal preserves SOME divergence.

@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<QosbbServer> server;
   if (args.journal.empty()) {
     bb = std::make_unique<BandwidthBroker>(spec, broker_options);
-    front = std::make_unique<ConcurrentBrokerFront>(*bb, /*threads=*/1);
+    front = std::make_unique<ConcurrentBrokerFront>(*bb);
     server = std::make_unique<QosbbServer>(*front, server_options);
   } else {
     journal_file = std::make_unique<FsJournalFile>(args.journal);
