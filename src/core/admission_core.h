@@ -9,7 +9,7 @@
 //
 // Both run the SAME template body with the SAME arithmetic in the SAME
 // order, so the two paths are bit-identical by construction — the property
-// the fuzz harness's --threads mode then proves empirically. Any change to
+// the fuzz harness's --threaded mode then proves empirically. Any change to
 // the algorithms happens here, once.
 //
 // A View type must expose:

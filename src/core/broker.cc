@@ -42,50 +42,12 @@ Result<PathId> BandwidthBroker::provision_path(const std::string& ingress,
       existing != kInvalidPathId) {
     return existing;
   }
-  const NodeIndex s = graph_.index(ingress);
-  const NodeIndex d = graph_.index(egress);
-  if (s == kInvalidNode) return Status::not_found("unknown node " + ingress);
-  if (d == kInvalidNode) return Status::not_found("unknown node " + egress);
-  const auto routes =
-      k_shortest_paths(graph_, ingress, egress, std::max(1, options_.k_paths));
-  if (routes.empty()) {
-    return Status::not_found("no path from " + ingress + " to " + egress);
+  auto route = shortest_path(graph_, ingress, egress);
+  if (!route.is_ok()) return route.status();
+  if (route.value().size() < 2) {
+    return Status::not_found("no path from " + ingress + " to itself");
   }
-  PathId primary = kInvalidPathId;
-  for (const auto& route : routes) {
-    const PathId id = paths_.provision(route);
-    if (primary == kInvalidPathId) primary = id;
-  }
-  return primary;
-}
-
-Result<std::vector<PathId>> BandwidthBroker::candidate_paths(
-    const std::string& ingress, const std::string& egress) {
-  auto ids = candidate_paths_ref(ingress, egress);
-  if (!ids.is_ok()) return ids.status();
-  return *ids.value();
-}
-
-Result<const std::vector<PathId>*> BandwidthBroker::candidate_paths_ref(
-    const std::string& ingress, const std::string& egress) {
-  auto primary = provision_path(ingress, egress);
-  if (!primary.is_ok()) return primary.status();
-  const std::vector<PathId>& ids = paths_.find_all_ref(ingress, egress);
-  if (options_.path_selection != PathSelection::kWidestResidual) {
-    return &ids;
-  }
-  candidates_scratch_.assign(ids.begin(), ids.end());
-  std::stable_sort(candidates_scratch_.begin(), candidates_scratch_.end(),
-                   [this](PathId a, PathId b) {
-                     const BitsPerSecond ra =
-                         paths_.min_residual(a, store_.nodes());
-                     const BitsPerSecond rb =
-                         paths_.min_residual(b, store_.nodes());
-                     if (ra != rb) return ra > rb;
-                     return paths_.record(a).hop_count() <
-                            paths_.record(b).hop_count();
-                   });
-  return &candidates_scratch_;
+  return paths_.provision(route.value());
 }
 
 PathView BandwidthBroker::path_view(PathId path) const {
@@ -146,62 +108,6 @@ bool BandwidthBroker::request_rate_ok(const std::string& ingress,
   return true;
 }
 
-std::optional<std::pair<PathId, std::vector<FlowId>>>
-BandwidthBroker::try_preempt(const FlowServiceRequest& request,
-                             const std::vector<PathId>& candidates) {
-  for (PathId candidate : candidates) {
-    // Victims: strictly lower-priority per-flow reservations on this path,
-    // cheapest (lowest priority, then smallest rate, then oldest id) first.
-    // The id tie-break makes the order independent of the flow MIB's hash
-    // layout, which differs between a live broker and its recovery.
-    std::vector<FlowRecord> victims;
-    for (const auto& [id, rec] : flows_.all()) {
-      if (rec.kind == FlowKind::kPerFlow && rec.path == candidate &&
-          rec.priority < request.priority) {
-        victims.push_back(rec);
-      }
-    }
-    if (victims.empty()) continue;
-    std::sort(victims.begin(), victims.end(),
-              [](const FlowRecord& a, const FlowRecord& b) {
-                if (a.priority != b.priority) return a.priority < b.priority;
-                if (a.reservation.rate != b.reservation.rate) {
-                  return a.reservation.rate < b.reservation.rate;
-                }
-                return a.id < b.id;
-              });
-    std::vector<FlowRecord> evicted;
-    const PathRecord& rec = paths_.record(candidate);
-    for (const FlowRecord& victim : victims) {
-      unbook_reservation(rec, victim.reservation, victim.profile);
-      // victim came from flows_ itself; absence is impossible here
-      // qosbb-lint: allow(discarded-status)
-      (void)flows_.remove(victim.id);
-      auto it = ingress_flows_.find(rec.ingress());
-      QOSBB_REQUIRE(it != ingress_flows_.end() && it->second > 0,
-                    "preemption: ingress accounting underflow");
-      --it->second;
-      evicted.push_back(victim);
-      last_outcome_ = admit_per_flow(path_view(candidate), request.profile,
-                                     request.e2e_delay_req, &scratch_);
-      if (last_outcome_.admitted) {
-        std::vector<FlowId> ids;
-        ids.reserve(evicted.size());
-        for (const auto& e : evicted) ids.push_back(e.id);
-        return std::make_pair(candidate, std::move(ids));
-      }
-    }
-    // Even a clean sweep did not fit: restore this path's victims and try
-    // the next candidate.
-    for (const FlowRecord& e : evicted) {
-      book_reservation(rec, e.reservation, e.profile);
-      flows_.add(e);
-      ++ingress_flows_[rec.ingress()];
-    }
-  }
-  return std::nullopt;
-}
-
 Result<Reservation> BandwidthBroker::request_service(
     const FlowServiceRequest& request, Seconds now) {
   ++stats_.requests;
@@ -239,49 +145,25 @@ Result<Reservation> BandwidthBroker::request_service(
     last_outcome_.detail = pol.message();
     return rejected(RejectReason::kPolicy, pol.message());
   }
-  // Path selection: candidates in preference order; admit on the first
-  // that passes (alternate routes are admission fallbacks).
-  auto candidates = candidate_paths_ref(request.ingress, request.egress);
-  if (!candidates.is_ok()) {
+  // Path selection: the pair's one provisioned route.
+  auto chosen = provision_path(request.ingress, request.egress);
+  if (!chosen.is_ok()) {
     last_outcome_ = AdmissionOutcome{};
     last_outcome_.reason = RejectReason::kNoPath;
-    last_outcome_.detail = candidates.status().message();
-    return rejected(RejectReason::kNoPath, candidates.status().message());
+    last_outcome_.detail = chosen.status().message();
+    return rejected(RejectReason::kNoPath, chosen.status().message());
   }
+  const PathId path = chosen.value();
   // Phase 1: path-oriented admissibility test (Section 3).
-  PathId chosen = kInvalidPathId;
-  for (PathId candidate : *candidates.value()) {
-    const PathView view = path_view(candidate);
-    last_outcome_ = admit_per_flow(view, request.profile,
-                                   request.e2e_delay_req, &scratch_);
-    if (last_outcome_.admitted) {
-      chosen = candidate;
-      break;
-    }
-  }
-  // Phase 1b: priority preemption (opt-in). Only capacity-class rejections
-  // can be cured by evicting lower-priority flows.
-  std::vector<FlowId> preempted;
-  if (chosen == kInvalidPathId && options_.allow_preemption &&
-      request.priority > kDefaultPriority &&
-      (last_outcome_.reason == RejectReason::kInsufficientBandwidth ||
-       last_outcome_.reason == RejectReason::kEdfUnschedulable ||
-       last_outcome_.reason == RejectReason::kInsufficientBuffer)) {
-    if (auto got = try_preempt(request, *candidates.value())) {
-      chosen = got->first;
-      preempted = std::move(got->second);
-    }
-  }
-  if (chosen == kInvalidPathId) {
-    audit.path = candidates.value()->empty() ? kInvalidPathId
-                                             : candidates.value()->front();
-    if (audit.path != kInvalidPathId) {
-      audit.path_residual = path_residual(audit.path);
-    }
+  last_outcome_ = admit_per_flow(path_view(path), request.profile,
+                                 request.e2e_delay_req, &scratch_);
+  if (!last_outcome_.admitted) {
+    audit.path = path;
+    audit.path_residual = path_residual(path);
     return rejected(last_outcome_.reason, last_outcome_.detail);
   }
   // Phase 2: bookkeeping (Section 2.2).
-  const PathRecord& rec = paths_.record(chosen);
+  const PathRecord& rec = paths_.record(path);
   const RateDelayPair params = last_outcome_.params;
   book_reservation(rec, params, request.profile);
 
@@ -290,32 +172,26 @@ Result<Reservation> BandwidthBroker::request_service(
   flow.kind = FlowKind::kPerFlow;
   flow.profile = request.profile;
   flow.e2e_delay_req = request.e2e_delay_req;
-  flow.path = chosen;
+  flow.path = path;
   flow.reservation = params;
   flow.admitted_at = now;
-  flow.priority = request.priority;
   flows_.add(flow);
   ++ingress_flows_[request.ingress];
   ++stats_.admitted;
 
   audit.admitted = true;
   audit.flow = flow.id;
-  audit.path = chosen;
+  audit.path = path;
   audit.granted_rate = params.rate;
   audit.granted_delay = params.delay;
-  audit.path_residual = path_residual(chosen);
-  if (!preempted.empty()) {
-    audit.detail = "preempted " + std::to_string(preempted.size()) +
-                   " lower-priority flows";
-  }
+  audit.path_residual = path_residual(path);
   audit_.record(std::move(audit));
 
   Reservation res;
   res.flow = flow.id;
-  res.path = chosen;
+  res.path = path;
   res.params = params;
   res.e2e_bound = last_outcome_.e2e_bound;
-  res.preempted = std::move(preempted);
   return res;
 }
 

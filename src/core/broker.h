@@ -42,25 +42,8 @@ namespace qosbb {
 
 class WireStream;
 
-/// Per-flow path selection policy across the candidate routes the routing
-/// module provisions for an ingress–egress pair.
-enum class PathSelection {
-  kMinHop,          // always the shortest path (the paper's setup)
-  kWidestResidual,  // among k shortest, prefer max C_res^P, then fewer hops
-};
-
 struct BrokerOptions {
   ContingencyMethod contingency = ContingencyMethod::kFeedback;
-  PathSelection path_selection = PathSelection::kMinHop;
-  /// Number of candidate routes (Yen's k-shortest) the routing module
-  /// provisions per endpoint pair. With kMinHop only the first is used for
-  /// selection; the rest still serve as admission fallbacks.
-  int k_paths = 1;
-  /// When true, a request that fails on bandwidth may evict strictly
-  /// lower-priority per-flow reservations from its path (cheapest-first)
-  /// until it fits. Evicted flows are reported through the returned
-  /// Reservation's `preempted` list so the caller can notify their owners.
-  bool allow_preemption = false;
   /// Per-ingress signaling rate limit (requests/s; 0 = unlimited). Requests
   /// beyond the limit are rejected with kPolicy — BB overload protection.
   double max_request_rate_per_ingress = 0.0;
@@ -137,17 +120,13 @@ class BandwidthBroker {
   BandwidthBroker& operator=(const BandwidthBroker&) = delete;
 
   // ---- Routing module ----
-  /// Provision the candidate route set for ingress -> egress (idempotent)
-  /// and return the primary (min-hop) path.
+  /// Provision the route for ingress -> egress (idempotent): the min-hop
+  /// path every flow between the pair is pinned to.
   Result<PathId> provision_path(const std::string& ingress,
                                 const std::string& egress);
-  /// All provisioned candidates for the pair, in preference order under the
-  /// configured PathSelection policy (provisions them on first use).
-  Result<std::vector<PathId>> candidate_paths(const std::string& ingress,
-                                              const std::string& egress);
 
   // ---- Per-flow guaranteed service (Section 3) ----
-  /// Full admission pipeline: policy check, path selection, path-oriented
+  /// Full admission pipeline: policy check, the pair's path, path-oriented
   /// admissibility test, bookkeeping. Returns the reservation to install at
   /// the ingress edge conditioner.
   Result<Reservation> request_service(const FlowServiceRequest& request,
@@ -286,18 +265,6 @@ class BandwidthBroker {
   /// Signaling-rate limiter gate (BrokerOptions::max_request_rate_per_
   /// ingress). Callers must pass non-decreasing `now` for refill to work.
   bool request_rate_ok(const std::string& ingress, Seconds now);
-  /// Candidate routes in preference order without copying: points into the
-  /// path MIB (kMinHop) or into candidates_scratch_ (kWidestResidual). The
-  /// result is invalidated by the next candidate_paths_ref call.
-  Result<const std::vector<PathId>*> candidate_paths_ref(
-      const std::string& ingress, const std::string& egress);
-  /// Preemption: evict strictly lower-priority per-flow reservations from
-  /// one of `candidates` until `request` fits. On success returns the path
-  /// and the evicted flow ids (already released); on failure restores
-  /// everything and returns nullopt.
-  std::optional<std::pair<PathId, std::vector<FlowId>>> try_preempt(
-      const FlowServiceRequest& request, const std::vector<PathId>& candidates);
-
   /// The snapshot body encoder (core/snapshot.cc), over a WireWriter, a
   /// WireStream or a WireSizer.
   template <typename Writer>
@@ -341,8 +308,6 @@ class BandwidthBroker {
   AdmissionScratch scratch_;
   /// Reusable bookkeeping delta for book/unbook (sequential entry points).
   BookingDelta delta_scratch_;
-  /// Reorder buffer for kWidestResidual candidate sorting.
-  std::vector<PathId> candidates_scratch_;
 };
 
 }  // namespace qosbb

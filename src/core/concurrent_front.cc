@@ -125,9 +125,7 @@ void evolve_snapshot(PathSnapshot* snap, const BookingDelta& delta) {
 }  // namespace
 
 ConcurrentBrokerFront::ConcurrentBrokerFront(BandwidthBroker& bb, int)
-    : bb_(bb),
-      fast_eligible_(bb.options().path_selection == PathSelection::kMinHop &&
-                     !bb.options().allow_preemption) {
+    : bb_(bb) {
   ExclusiveLock guard(big_);
   warm_path_caches();
 }
@@ -240,7 +238,6 @@ void ConcurrentBrokerFront::book_admit(const FlowServiceRequest& request,
   flow.path = path;
   flow.reservation = outcome.params;
   flow.admitted_at = now;
-  flow.priority = request.priority;
   bb_.flows_.add(flow);
   ++bb_.ingress_flows_[request.ingress];
   ++bb_.stats_.admitted;
@@ -289,11 +286,11 @@ void ConcurrentBrokerFront::execute_ordered(std::span<const SlabOp> ops,
       ++e;
     }
     const std::span<const std::size_t> members = order.subspan(g, e - g);
-    if (!fast_eligible_ || !try_group_fast(members, ops, now, outs)) {
-      // Group shapes the single-snapshot path does not handle run
-      // per-member on the sequential broker — which IS the slab's defined
-      // semantics (one-at-a-time in execution order), so this fallback is
-      // exact, just unamortized.
+    if (!try_group_fast(members, ops, now, outs)) {
+      // A pair with no route yet: the first member provisions it on the
+      // sequential broker. Running every member there IS the slab's
+      // defined semantics (one-at-a-time in execution order), so this
+      // fallback is exact, just unamortized.
       for (const std::size_t idx : members) {
         outs[idx] = request_exclusive(*ops[idx].request, now);
       }
@@ -320,14 +317,10 @@ bool ConcurrentBrokerFront::try_group_fast(
     NO_THREAD_SAFETY_ANALYSIS /* dynamic shard-lock sets; big_ held shared */ {
   SharedLock guard(big_);
   const FlowServiceRequest& head = *ops[members.front()].request;
-  const std::vector<PathId>& candidates =
-      bb_.paths_.find_all_ref(head.ingress, head.egress);
-  // The group path handles the canonical min-hop shape: exactly one
-  // provisioned candidate. Unprovisioned pairs (need exclusive-mode
-  // provisioning) and multi-candidate configurations (per-member candidate
-  // iteration) fall back to per-member exclusive execution.
-  if (candidates.size() != 1) return false;
-  const PathId chosen = candidates.front();
+  // An unprovisioned pair needs exclusive-mode provisioning: the caller
+  // runs its members through request_exclusive.
+  const PathId chosen = bb_.paths_.find(head.ingress, head.egress);
+  if (chosen == kInvalidPathId) return false;
   const PathRecord& rec = bb_.paths_.record(chosen);
   const std::vector<const LinkQosState*>& links =
       bb_.paths_.link_states(chosen, bb_.store_.nodes());

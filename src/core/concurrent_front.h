@@ -17,12 +17,12 @@
 // Every request returns its own FrontOutcome (decision + diagnostics);
 // nothing reads the wrapped broker's mutable last_outcome_ concurrently.
 //
-// Groups the group path declines (unprovisioned pair, more than one
-// candidate path, widest-residual selection or preemption) and operations
-// outside the per-flow path — class-based service, external link
-// reservations, path provisioning, snapshots — run on the sequential
-// broker under the exclusive mode of `big_`, so their single-writer
-// assumptions still hold.
+// The only groups the group path declines are those of a pair with no
+// route yet: their members run on the sequential broker under the
+// exclusive mode of `big_` (request_exclusive), the first one provisioning
+// the route. Operations outside the per-flow path — class-based service,
+// external link reservations, path provisioning, snapshots — run there
+// too, so their single-writer assumptions still hold.
 //
 // Lock hierarchy (outer to inner): big_ (shared for the group path,
 // exclusive for delegation) -> flow_mu_ (flow table, ingress counts,
@@ -164,7 +164,9 @@ class ConcurrentBrokerFront {
   }
 
  private:
-  /// One admit on the sequential broker under exclusive big_.
+  /// One admit on the sequential broker under exclusive big_. Serves only
+  /// members of a pair that has no provisioned route yet (the first one
+  /// provisions it); every other admit takes the group path.
   FrontOutcome request_exclusive(const FlowServiceRequest& request,
                                  Seconds now);
   /// Audit entry of an admit request, before its decision.
@@ -196,9 +198,8 @@ class ConcurrentBrokerFront {
       const std::vector<const LinkQosState*>& links);
   /// The single-snapshot group path of execute_batch: all of `members`
   /// (indices into `ops`, all admits) share one (ingress, egress) pair.
-  /// Returns false when the group shape is not handled (no / multiple
-  /// provisioned candidates) and the caller should run each member through
-  /// request_exclusive in grouped order.
+  /// Returns false when the pair has no provisioned route, and the caller
+  /// should run each member through request_exclusive in grouped order.
   bool try_group_fast(std::span<const std::size_t> members,
                       std::span<const SlabOp> ops, Seconds now,
                       std::span<FrontOutcome> outs);
@@ -214,10 +215,6 @@ class ConcurrentBrokerFront {
   }
 
   BandwidthBroker& bb_;
-  /// Group-path eligibility, fixed by the wrapped broker's options: min-hop
-  /// selection without preemption. Anything else falls back to exclusive
-  /// delegation (trivially serialization-equivalent).
-  const bool fast_eligible_;
   SharedMutex big_;
   /// Protects the flow table, ingress counts, and audit log of the wrapped
   /// broker during group-path operation.

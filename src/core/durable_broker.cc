@@ -50,7 +50,6 @@ void put_admit_request(WireWriter& w, const FlowServiceRequest& request,
                        Seconds now) {
   put_profile(w, request.profile);
   w.f64(request.e2e_delay_req);
-  w.i64(request.priority);
   w.str(request.ingress);
   w.str(request.egress);
   w.f64(now);
@@ -84,8 +83,6 @@ WireBuffer encode_reservation_outcome(const Result<Reservation>& res,
     w.f64(res.value().params.rate);
     w.f64(res.value().params.delay);
     w.f64(res.value().e2e_bound);
-    w.u32(static_cast<std::uint32_t>(res.value().preempted.size()));
-    for (FlowId id : res.value().preempted) w.i64(id);
   } else {
     w.u8(0);
     w.u8(static_cast<std::uint8_t>(res.status().code()));
@@ -120,21 +117,14 @@ FrontOutcome decode_reservation_outcome(const WireBuffer& bytes,
   auto rate = r.f64();
   auto delay = r.f64();
   auto bound = r.f64();
-  auto npre = r.u32();
   for (const Status& s : {flow.status(), path.status(), rate.status(),
-                          delay.status(), bound.status(), npre.status()}) {
+                          delay.status(), bound.status()}) {
     if (!s.is_ok()) return FrontOutcome{s, {}};
   }
   res.flow = flow.value();
   res.path = path.value();
   res.params = RateDelayPair{rate.value(), delay.value()};
   res.e2e_bound = bound.value();
-  res.preempted.reserve(npre.value());
-  for (std::uint32_t i = 0; i < npre.value(); ++i) {
-    auto id = r.i64();
-    if (!id.is_ok()) return FrontOutcome{id.status(), {}};
-    res.preempted.push_back(id.value());
-  }
   out.result = std::move(res);
   return out;
 }
@@ -906,14 +896,12 @@ Status DurableBroker::replay_record(const JournalRecord& rec) {
       auto rid = r.u64();
       auto profile = get_profile(r);
       auto d_req = r.f64();
-      auto priority = r.i64();
       auto ingress = r.str();
       auto egress = r.str();
       auto now = r.f64();
       for (const Status& s :
            {rid.status(), profile.status(), d_req.status(),
-            priority.status(), ingress.status(), egress.status(),
-            now.status()}) {
+            ingress.status(), egress.status(), now.status()}) {
         if (!s.is_ok()) return as_data_loss(s, rec.lsn);
       }
       FlowServiceRequest req;
@@ -921,7 +909,6 @@ Status DurableBroker::replay_record(const JournalRecord& rec) {
       req.e2e_delay_req = d_req.value();
       req.ingress = ingress.value();
       req.egress = egress.value();
-      req.priority = static_cast<FlowPriority>(priority.value());
       auto res = bb_->request_service(req, now.value());
       return verify(encode_reservation_outcome(res, bb_->last_outcome()),
                     rid.value());

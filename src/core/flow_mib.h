@@ -25,7 +25,6 @@ struct FlowRecord {
   RateDelayPair reservation;       ///< for microflows: their rate increment
   ClassId service_class = kInvalidClassId;  ///< microflows only
   Seconds admitted_at = 0.0;
-  FlowPriority priority = kDefaultPriority;
 };
 
 class FlowMib {

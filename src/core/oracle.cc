@@ -387,33 +387,15 @@ AdmissionOutcome oracle_admit_per_flow(const PathMib& paths,
 OracleDecision oracle_decide_request(const BandwidthBroker& bb,
                                      const FlowServiceRequest& request) {
   OracleDecision out;
-  const std::vector<PathId>& provisioned =
-      bb.paths().find_all_ref(request.ingress, request.egress);
-  if (provisioned.empty()) {
+  out.path = bb.paths().find(request.ingress, request.egress);
+  if (out.path == kInvalidPathId) {
     out.outcome = oracle_reject(RejectReason::kNoPath,
                                 "oracle: no provisioned path");
     return out;
   }
-  std::vector<PathId> order(provisioned.begin(), provisioned.end());
-  if (bb.options().path_selection == PathSelection::kWidestResidual) {
-    std::stable_sort(order.begin(), order.end(), [&](PathId a, PathId b) {
-      const BitsPerSecond ra =
-          naive_path_residual(bb.paths().record(a), bb.nodes(), {});
-      const BitsPerSecond rb =
-          naive_path_residual(bb.paths().record(b), bb.nodes(), {});
-      if (ra != rb) return ra > rb;
-      return bb.paths().record(a).hop_count() <
-             bb.paths().record(b).hop_count();
-    });
-  }
-  for (PathId id : order) {
-    out.path = id;
-    out.outcome = oracle_admit_per_flow(bb.paths(), bb.nodes(), id,
-                                        request.profile,
-                                        request.e2e_delay_req);
-    if (out.outcome.admitted) return out;
-  }
-  return out;  // all candidates rejected: last outcome, like the broker
+  out.outcome = oracle_admit_per_flow(bb.paths(), bb.nodes(), out.path,
+                                      request.profile, request.e2e_delay_req);
+  return out;
 }
 
 bool oracle_outcomes_equivalent(const AdmissionOutcome& fast,

@@ -67,10 +67,9 @@ AdmissionOutcome oracle_admit_per_flow(const PathMib& paths,
                                        const OracleExclusion& exclude = {});
 
 /// Full-request mirror of BandwidthBroker::request_service's admission
-/// phase: walks the broker's candidate paths in the broker's preference
-/// order (naive-residual sort for kWidestResidual) and admits on the first
-/// passing candidate. Policy and signaling-rate gates are NOT mirrored —
-/// run the harness with those disabled, or compare only past them.
+/// phase: the from-scratch test on the pair's one provisioned path. Policy
+/// and signaling-rate gates are NOT mirrored — run the harness with those
+/// disabled, or compare only past them.
 struct OracleDecision {
   PathId path = kInvalidPathId;
   AdmissionOutcome outcome;

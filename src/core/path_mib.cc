@@ -24,8 +24,11 @@ PathId PathMib::provision(const std::vector<std::string>& nodes) {
   for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
     rec.link_names.push_back(nodes[i] + "->" + nodes[i + 1]);
   }
+  const bool fresh_pair =
+      by_endpoints_.emplace(nodes.front() + "|" + nodes.back(), rec.id)
+          .second;
+  QOSBB_REQUIRE(fresh_pair, "PathMib::provision: pair already has a route");
   by_nodes_.emplace(node_key, rec.id);
-  by_endpoints_[nodes.front() + "|" + nodes.back()].push_back(rec.id);
   records_.push_back(std::move(rec));
   cache_.emplace_back();
   return records_.back().id;
@@ -34,20 +37,7 @@ PathId PathMib::provision(const std::vector<std::string>& nodes) {
 PathId PathMib::find(const std::string& ingress,
                      const std::string& egress) const {
   auto it = by_endpoints_.find(ingress + "|" + egress);
-  if (it == by_endpoints_.end() || it->second.empty()) return kInvalidPathId;
-  return it->second.front();
-}
-
-std::vector<PathId> PathMib::find_all(const std::string& ingress,
-                                      const std::string& egress) const {
-  return find_all_ref(ingress, egress);
-}
-
-const std::vector<PathId>& PathMib::find_all_ref(
-    const std::string& ingress, const std::string& egress) const {
-  static const std::vector<PathId> kEmpty;
-  auto it = by_endpoints_.find(ingress + "|" + egress);
-  return it == by_endpoints_.end() ? kEmpty : it->second;
+  return it == by_endpoints_.end() ? kInvalidPathId : it->second;
 }
 
 const PathRecord& PathMib::record(PathId id) const {

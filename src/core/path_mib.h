@@ -48,18 +48,12 @@ class PathMib {
   explicit PathMib(const DomainSpec& spec) : spec_(spec) {}
 
   /// Provision (or return the already-provisioned) path along `nodes`.
-  /// Multiple distinct paths per ingress–egress pair are supported
-  /// (alternate routes for widest-path selection).
+  /// An ingress–egress pair has exactly one route: provisioning a second,
+  /// different route for a routed pair is a caller bug (callers holding
+  /// outside input check find() first).
   PathId provision(const std::vector<std::string>& nodes);
-  /// The first provisioned path from ingress to egress, or kInvalidPathId.
+  /// The path provisioned from ingress to egress, or kInvalidPathId.
   PathId find(const std::string& ingress, const std::string& egress) const;
-  /// Every provisioned path for the pair, in provisioning order.
-  std::vector<PathId> find_all(const std::string& ingress,
-                               const std::string& egress) const;
-  /// Same as find_all without the copy: a stable reference into the MIB
-  /// (empty vector when the pair has no provisioned path).
-  const std::vector<PathId>& find_all_ref(const std::string& ingress,
-                                          const std::string& egress) const;
 
   const PathRecord& record(PathId id) const;
   std::size_t path_count() const { return records_.size(); }
@@ -97,7 +91,7 @@ class PathMib {
   const DomainSpec& spec_;
   std::vector<PathRecord> records_;
   mutable std::vector<PathCache> cache_;  ///< parallel to records_
-  std::unordered_map<std::string, std::vector<PathId>> by_endpoints_;
+  std::unordered_map<std::string, PathId> by_endpoints_;  ///< one per pair
   std::unordered_map<std::string, PathId> by_nodes_;
 };
 

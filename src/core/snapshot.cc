@@ -65,8 +65,8 @@ void put_nodes(Writer& w, const std::vector<std::string>& nodes) {
 Result<std::vector<std::string>> get_nodes(WireReader& r) {
   auto count = r.u32();
   if (!count.is_ok()) return count.status();
-  if (count.value() > 4096) {
-    return Status::invalid_argument("snapshot: absurd node count");
+  if (count.value() < 2 || count.value() > 4096) {
+    return Status::invalid_argument("snapshot: bad path node count");
   }
   std::vector<std::string> nodes;
   nodes.reserve(count.value());
@@ -133,7 +133,6 @@ void BandwidthBroker::encode_snapshot_body(Writer& w) const {
     w.f64(rec->reservation.rate);
     w.f64(rec->reservation.delay);
     w.f64(rec->admitted_at);
-    w.i64(rec->priority);
   }
   // Service classes.
   w.u32(static_cast<std::uint32_t>(classes_.all_classes().size()));
@@ -318,6 +317,21 @@ Result<std::unique_ptr<BandwidthBroker>> BandwidthBroker::restore(
   for (std::uint32_t i = 0; i < path_count.value(); ++i) {
     auto nodes = get_nodes(r);
     if (!nodes.is_ok()) return nodes.status();
+    for (std::size_t h = 0; h + 1 < nodes.value().size(); ++h) {
+      const std::string link = nodes.value()[h] + "->" + nodes.value()[h + 1];
+      if (!bb->nodes().has_link(link)) {
+        return Status::invalid_argument("snapshot: path over unknown link " +
+                                        link);
+      }
+    }
+    // The path MIB holds one route per endpoint pair; a frame that routes
+    // a pair twice did not come from a broker.
+    if (bb->paths_.find(nodes.value().front(), nodes.value().back()) !=
+        kInvalidPathId) {
+      return Status::invalid_argument(
+          "snapshot: second route for " + nodes.value().front() + " -> " +
+          nodes.value().back());
+    }
     const PathId id = bb->paths_.provision(nodes.value());
     if (id != static_cast<PathId>(i)) {
       return Status::invalid_argument("snapshot: path id drift");
@@ -334,11 +348,9 @@ Result<std::unique_ptr<BandwidthBroker>> BandwidthBroker::restore(
     auto rate = r.f64();
     auto delay = r.f64();
     auto admitted_at = r.f64();
-    auto priority = r.i64();
     for (const Status& s :
          {id.status(), profile.status(), d_req.status(), path.status(),
-          rate.status(), delay.status(), admitted_at.status(),
-          priority.status()}) {
+          rate.status(), delay.status(), admitted_at.status()}) {
       if (!s.is_ok()) return s;
     }
     if (path.value() < 0 ||
@@ -355,7 +367,6 @@ Result<std::unique_ptr<BandwidthBroker>> BandwidthBroker::restore(
     flow.path = path.value();
     flow.reservation = RateDelayPair{rate.value(), delay.value()};
     flow.admitted_at = admitted_at.value();
-    flow.priority = static_cast<FlowPriority>(priority.value());
     bb->flows_.add(flow);
     bb->flows_.bump_next_id(flow.id);
     ++bb->ingress_flows_[rec.ingress()];

@@ -35,16 +35,7 @@ struct Reservation {
   RateDelayPair params;
   /// End-to-end delay bound the reservation guarantees (<= the request).
   Seconds e2e_bound = 0.0;
-  /// Lower-priority flows evicted to make room (preemption-enabled brokers
-  /// only; empty otherwise). Their edge conditioners must be torn down.
-  std::vector<FlowId> preempted;
 };
-
-/// Holding priority of a reservation: higher values may preempt lower ones
-/// when the broker runs in preemption-enabled mode (standard telco-style
-/// admission; 0 = best default, never preempts anything).
-using FlowPriority = int;
-constexpr FlowPriority kDefaultPriority = 0;
 
 /// Client-assigned operation identity used for idempotent re-delivery: a
 /// retried operation re-sends the SAME RequestId, and the durable broker's
@@ -59,7 +50,6 @@ struct FlowServiceRequest {
   Seconds e2e_delay_req = 0.0;  ///< D^{j,req}
   std::string ingress;
   std::string egress;
-  FlowPriority priority = kDefaultPriority;
 };
 
 /// Grouped execution order of a batch of admission requests: stable

@@ -32,7 +32,7 @@ namespace qosbb {
 using WireBuffer = std::vector<std::uint8_t>;
 
 constexpr std::uint16_t kWireMagic = 0x51B2;  // "QB"
-constexpr std::uint8_t kWireVersion = 1;
+constexpr std::uint8_t kWireVersion = 2;
 
 enum class MessageType : std::uint8_t {
   kFlowServiceRequest = 1,  // ingress -> BB

@@ -193,19 +193,19 @@ FederatedOutcome FederatedFront::request_service(
     return local_reject(RejectReason::kNoPath,
                         "endpoint outside the federation", false);
   }
-  const auto routes =
-      k_shortest_paths(global_graph_, request.ingress, request.egress, 1);
-  if (routes.empty()) {
+  const auto route =
+      shortest_path(global_graph_, request.ingress, request.egress);
+  if (!route.is_ok()) {
     return local_reject(RejectReason::kNoPath,
                         "no route " + request.ingress + " -> " +
                             request.egress,
                         false);
   }
-  const auto segments = segment_path(plan_, routes.front());
+  const auto segments = segment_path(plan_, route.value());
   if (segments.size() == 1) {
     return admit_intra(request, segments.front().domain);
   }
-  return admit_inter(request, routes.front(), segments);
+  return admit_inter(request, route.value(), segments);
 }
 
 FederatedOutcome FederatedFront::admit_intra(const FlowServiceRequest& request,

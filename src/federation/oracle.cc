@@ -80,12 +80,11 @@ Status FederationOracle::observe_admit(const FlowServiceRequest& request,
         decision.outcome.detail + ")");
   }
 
-  const auto routes =
-      k_shortest_paths(graph_, request.ingress, request.egress, 1);
-  if (routes.empty()) {
+  const auto route = shortest_path(graph_, request.ingress, request.egress);
+  if (!route.is_ok()) {
     return Status::internal("oracle: no flat route for an admitted flow");
   }
-  const auto segments = segment_path(plan_, routes.front());
+  const auto segments = segment_path(plan_, route.value());
   if (static_cast<int>(segments.size()) != outcome.segments) {
     return Status::internal("oracle: segmentation mismatch (" +
                             std::to_string(segments.size()) + " vs " +

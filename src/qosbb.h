@@ -12,7 +12,6 @@
 #include "core/broker.h"
 #include "core/hierarchical.h"
 #include "core/interdomain.h"
-#include "core/stat_admission.h"
 #include "core/wire.h"
 
 // Data-plane abstraction and packet-level validation harness.

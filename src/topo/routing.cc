@@ -1,10 +1,8 @@
 #include "topo/routing.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <queue>
-#include <set>
 
 namespace qosbb {
 namespace {
@@ -83,131 +81,6 @@ Result<std::vector<std::string>> shortest_path(const Graph& g,
   names.reserve(r.value().size());
   for (NodeIndex n : r.value()) names.push_back(g.name(n));
   return names;
-}
-
-namespace {
-
-/// Dijkstra on g with some edges/nodes masked out; returns the node path
-/// src -> dst or empty.
-std::vector<NodeIndex> masked_shortest_path(
-    const Graph& g, NodeIndex src, NodeIndex dst,
-    const std::set<std::pair<NodeIndex, NodeIndex>>& banned_edges,
-    const std::set<NodeIndex>& banned_nodes, double* cost_out) {
-  const auto n = static_cast<std::size_t>(g.node_count());
-  std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-  std::vector<NodeIndex> prev(n, kInvalidNode);
-  using Item = std::pair<double, NodeIndex>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  dist[static_cast<std::size_t>(src)] = 0.0;
-  pq.emplace(0.0, src);
-  while (!pq.empty()) {
-    auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[static_cast<std::size_t>(u)]) continue;
-    for (EdgeIndex e : g.edges_from(u)) {
-      const auto& edge = g.edge(e);
-      if (banned_nodes.contains(edge.to)) continue;
-      if (banned_edges.contains({edge.from, edge.to})) continue;
-      const double nd = d + edge.weight;
-      auto& dv = dist[static_cast<std::size_t>(edge.to)];
-      if (nd < dv) {
-        dv = nd;
-        prev[static_cast<std::size_t>(edge.to)] = u;
-        pq.emplace(nd, edge.to);
-      }
-    }
-  }
-  if (std::isinf(dist[static_cast<std::size_t>(dst)])) return {};
-  if (cost_out) *cost_out = dist[static_cast<std::size_t>(dst)];
-  std::vector<NodeIndex> path;
-  for (NodeIndex v = dst; v != kInvalidNode;
-       v = prev[static_cast<std::size_t>(v)]) {
-    path.push_back(v);
-    if (v == src) break;
-  }
-  std::reverse(path.begin(), path.end());
-  return path.front() == src ? path : std::vector<NodeIndex>{};
-}
-
-double path_cost(const Graph& g, const std::vector<NodeIndex>& path) {
-  double c = 0.0;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    double best = std::numeric_limits<double>::infinity();
-    for (EdgeIndex e : g.edges_from(path[i])) {
-      if (g.edge(e).to == path[i + 1]) best = std::min(best, g.edge(e).weight);
-    }
-    c += best;
-  }
-  return c;
-}
-
-}  // namespace
-
-std::vector<std::vector<NodeIndex>> k_shortest_paths(const Graph& g,
-                                                     NodeIndex src,
-                                                     NodeIndex dst, int k) {
-  QOSBB_REQUIRE(src >= 0 && src < g.node_count(), "k_shortest: bad src");
-  QOSBB_REQUIRE(dst >= 0 && dst < g.node_count(), "k_shortest: bad dst");
-  QOSBB_REQUIRE(k >= 1, "k_shortest: k must be positive");
-  std::vector<std::vector<NodeIndex>> result;
-  auto first = masked_shortest_path(g, src, dst, {}, {}, nullptr);
-  if (first.empty()) return result;
-  result.push_back(std::move(first));
-
-  // Candidate set ordered by (cost, path) for determinism.
-  std::set<std::pair<double, std::vector<NodeIndex>>> candidates;
-  while (static_cast<int>(result.size()) < k) {
-    const auto& last = result.back();
-    // Spur from every node of the previous k-shortest path.
-    for (std::size_t i = 0; i + 1 < last.size(); ++i) {
-      const std::vector<NodeIndex> root(last.begin(),
-                                        last.begin() + static_cast<long>(i) + 1);
-      std::set<std::pair<NodeIndex, NodeIndex>> banned_edges;
-      for (const auto& p : result) {
-        if (p.size() > i &&
-            std::equal(root.begin(), root.end(), p.begin())) {
-          banned_edges.insert({p[i], p[i + 1]});
-        }
-      }
-      std::set<NodeIndex> banned_nodes(root.begin(), root.end() - 1);
-      auto spur = masked_shortest_path(g, root.back(), dst, banned_edges,
-                                       banned_nodes, nullptr);
-      if (spur.empty()) continue;
-      std::vector<NodeIndex> total(root.begin(), root.end() - 1);
-      total.insert(total.end(), spur.begin(), spur.end());
-      candidates.emplace(path_cost(g, total), std::move(total));
-    }
-    // Pop the cheapest unused candidate.
-    bool advanced = false;
-    while (!candidates.empty()) {
-      auto it = candidates.begin();
-      std::vector<NodeIndex> next = it->second;
-      candidates.erase(it);
-      if (std::find(result.begin(), result.end(), next) == result.end()) {
-        result.push_back(std::move(next));
-        advanced = true;
-        break;
-      }
-    }
-    if (!advanced) break;  // no more simple paths
-  }
-  return result;
-}
-
-std::vector<std::vector<std::string>> k_shortest_paths(
-    const Graph& g, const std::string& src, const std::string& dst, int k) {
-  const NodeIndex s = g.index(src);
-  const NodeIndex d = g.index(dst);
-  QOSBB_REQUIRE(s != kInvalidNode, "k_shortest: unknown node " + src);
-  QOSBB_REQUIRE(d != kInvalidNode, "k_shortest: unknown node " + dst);
-  std::vector<std::vector<std::string>> out;
-  for (const auto& path : k_shortest_paths(g, s, d, k)) {
-    std::vector<std::string> names;
-    names.reserve(path.size());
-    for (NodeIndex v : path) names.push_back(g.name(v));
-    out.push_back(std::move(names));
-  }
-  return out;
 }
 
 std::vector<std::vector<NodeIndex>> shortest_path_tree(const Graph& g,

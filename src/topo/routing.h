@@ -1,8 +1,9 @@
 // Path selection for the bandwidth broker's routing module.
 //
-// Dijkstra shortest paths over the domain graph. The BB uses this to pick a
-// pinned path (e.g. an MPLS LSP, Section 2) for each new flow; the path then
-// keys into the path QoS state MIB.
+// Dijkstra shortest paths over the domain graph. The BB uses this to pick
+// the one pinned path (e.g. an MPLS LSP, Section 2) of each ingress–egress
+// pair; every flow between the pair is admitted on it, and the path keys
+// into the path QoS state MIB.
 
 #ifndef QOSBB_TOPO_ROUTING_H_
 #define QOSBB_TOPO_ROUTING_H_
@@ -27,17 +28,6 @@ Result<std::vector<std::string>> shortest_path(const Graph& g,
 /// to every reachable node (for pre-provisioning path MIB entries).
 std::vector<std::vector<NodeIndex>> shortest_path_tree(const Graph& g,
                                                        NodeIndex src);
-
-/// Up to `k` loop-free shortest paths src -> dst in non-decreasing cost
-/// order (Yen's algorithm). Returns fewer than k when the graph has fewer
-/// distinct simple paths; empty when dst is unreachable. The BB's routing
-/// module uses these as alternate-path candidates for widest-path
-/// selection and admission fallback.
-std::vector<std::vector<NodeIndex>> k_shortest_paths(const Graph& g,
-                                                     NodeIndex src,
-                                                     NodeIndex dst, int k);
-std::vector<std::vector<std::string>> k_shortest_paths(
-    const Graph& g, const std::string& src, const std::string& dst, int k);
 
 }  // namespace qosbb
 

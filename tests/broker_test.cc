@@ -1,9 +1,14 @@
 // Tests for the BandwidthBroker facade: the two-phase admission pipeline,
-// policy gating, bookkeeping consistency, teardown, stats.
+// policy gating, the signaling rate limiter, one route per endpoint pair,
+// bookkeeping consistency, teardown, stats.
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "core/broker.h"
+#include "core/concurrent_front.h"
 #include "topo/fig8.h"
 
 namespace qosbb {
@@ -131,6 +136,14 @@ TEST(Broker, UnknownEndpointIsNoPath) {
   EXPECT_EQ(bb.last_outcome().reason, RejectReason::kNoPath);
 }
 
+TEST(Broker, SameIngressAndEgressIsNoPath) {
+  BandwidthBroker bb(fig8_topology(Fig8Setting::kRateBasedOnly));
+  auto res = bb.request_service({type0(), 2.44, "I1", "I1"});
+  EXPECT_FALSE(res.is_ok());
+  EXPECT_EQ(bb.last_outcome().reason, RejectReason::kNoPath);
+  EXPECT_EQ(bb.paths().path_count(), 0u);
+}
+
 TEST(Broker, TwoPathsContendOnSharedLinks) {
   // S1 and S2 share R2->R3->R4->R5: totals add up on shared links only.
   BandwidthBroker bb(fig8_topology(Fig8Setting::kRateBasedOnly));
@@ -153,6 +166,138 @@ TEST(Broker, MicroflowReleaseViaWrongApiIsContractViolation) {
   auto join = bb.request_class_service(cls, type0(), "I1", "E1", 0.0, 0.0);
   ASSERT_TRUE(join.admitted);
   EXPECT_THROW((void)bb.release_service(join.microflow), std::logic_error);
+}
+
+TEST(RateLimiter, CapsSignalingPerIngress) {
+  BrokerOptions opt;
+  opt.max_request_rate_per_ingress = 2.0;  // 2 req/s
+  opt.request_burst = 3.0;
+  BandwidthBroker bb(fig8_topology(Fig8Setting::kRateBasedOnly), opt);
+  // Burst of 3 passes at t=0; the 4th is throttled.
+  int ok = 0;
+  for (int i = 0; i < 4; ++i) {
+    if (bb.request_service(req_s1(), 0.0).is_ok()) ++ok;
+  }
+  EXPECT_EQ(ok, 3);
+  EXPECT_EQ(bb.stats().rejected.at(RejectReason::kPolicy), 1u);
+  // Tokens refill: one second buys two more requests.
+  EXPECT_TRUE(bb.request_service(req_s1(), 1.0).is_ok());
+  EXPECT_TRUE(bb.request_service(req_s1(), 1.0).is_ok());
+  EXPECT_FALSE(bb.request_service(req_s1(), 1.0).is_ok());
+  // Another ingress has its own budget.
+  EXPECT_TRUE(
+      bb.request_service({type0(), 2.44, "I2", "E2"}, 1.0).is_ok());
+}
+
+TEST(RateLimiter, ThrottledRequestsAreAudited) {
+  BrokerOptions opt;
+  opt.max_request_rate_per_ingress = 1.0;
+  opt.request_burst = 1.0;
+  BandwidthBroker bb(fig8_topology(Fig8Setting::kRateBasedOnly), opt);
+  ASSERT_TRUE(bb.request_service(req_s1(), 0.0).is_ok());
+  ASSERT_FALSE(bb.request_service(req_s1(), 0.0).is_ok());
+  EXPECT_NE(bb.audit().last().detail.find("signaling rate"),
+            std::string::npos);
+}
+
+/// I -> E via a 2-hop upper route (I,A,E) and a 3-hop lower route
+/// (I,B1,B2,E). All links 1.5 Mb/s C̸SVC.
+DomainSpec two_route_spec() {
+  DomainSpec spec;
+  spec.nodes = {"I", "A", "B1", "B2", "E"};
+  spec.l_max = 12000.0;
+  auto add = [&](const char* f, const char* t) {
+    spec.links.push_back(LinkSpec{f, t, 1.5e6, 0.0, SchedPolicy::kCsvc,
+                                  std::numeric_limits<double>::infinity()});
+  };
+  add("I", "A");
+  add("A", "E");
+  add("I", "B1");
+  add("B1", "B2");
+  add("B2", "E");
+  return spec;
+}
+
+TEST(MultipathBroker, SingleCandidateKeepsPaperBehavior) {
+  // Two routes exist, but the pair is pinned to the min-hop one: the
+  // domain carries what that route carries, and the other stays idle.
+  BandwidthBroker bb(two_route_spec());
+  FlowServiceRequest req{type0(), 2.44, "I", "E"};
+  int admitted = 0;
+  while (bb.request_service(req).is_ok()) ++admitted;
+  EXPECT_EQ(admitted, 30);
+  EXPECT_DOUBLE_EQ(bb.nodes().link("B1->B2").reserved(), 0.0);
+}
+
+/// Same verdict, flow, path, rate, delay and bound, bit for bit; same
+/// status text on a reject.
+void expect_same(const Result<Reservation>& plain,
+                 const Result<Reservation>& front) {
+  ASSERT_EQ(plain.is_ok(), front.is_ok());
+  if (!plain.is_ok()) {
+    EXPECT_EQ(plain.status().to_string(), front.status().to_string());
+    return;
+  }
+  EXPECT_EQ(plain.value().flow, front.value().flow);
+  EXPECT_EQ(plain.value().path, front.value().path);
+  EXPECT_EQ(plain.value().params.rate, front.value().params.rate);
+  EXPECT_EQ(plain.value().params.delay, front.value().params.delay);
+  EXPECT_EQ(plain.value().e2e_bound, front.value().e2e_bound);
+}
+
+TEST(ConcurrentFront, UnprovisionedPairBatchMatchesPlainBroker) {
+  // A batch for a pair with no route yet is the one shape the front's
+  // group path declines: its members run on the sequential broker, the
+  // first one provisioning the route. Verdicts, the PathId and the
+  // snapshot frame must match a plain broker admitting the same members
+  // one at a time; a later batch on the now-routed pair takes the group
+  // path and must match too.
+  BandwidthBroker plain(two_route_spec());
+  BandwidthBroker inner(two_route_spec());
+  ConcurrentBrokerFront front(inner);
+  ASSERT_EQ(inner.paths().find("I", "E"), kInvalidPathId);
+
+  std::vector<FlowServiceRequest> batch;
+  for (int i = 0; i < 40; ++i) {
+    batch.push_back({type0(), i % 3 == 0 ? 1.0 : 2.44, "I", "E"});
+  }
+  int admitted = 0;
+  int rejected = 0;
+  std::vector<FlowId> live;
+  auto check_batch = [&](const std::vector<FrontOutcome>& got) {
+    ASSERT_EQ(got.size(), batch.size());
+    for (const std::size_t j : batch_grouped_order(batch)) {
+      const Result<Reservation> a = plain.request_service(batch[j]);
+      expect_same(a, got[j].result);
+      if (a.is_ok()) {
+        ++admitted;
+        live.push_back(a.value().flow);
+        EXPECT_EQ(a.value().path, plain.paths().find("I", "E"));
+      } else {
+        ++rejected;
+      }
+    }
+  };
+  check_batch(front.submit_batch(batch));
+  const PathId path = inner.paths().find("I", "E");
+  ASSERT_NE(path, kInvalidPathId);
+  EXPECT_EQ(path, plain.paths().find("I", "E"));
+  EXPECT_EQ(inner.paths().record(path).hop_count(), 2);
+  EXPECT_GT(rejected, 0);
+
+  for (std::size_t i = 0; i < live.size(); i += 2) {
+    EXPECT_TRUE(plain.release_service(live[i]).is_ok());
+    EXPECT_TRUE(front.release_service(live[i]).is_ok());
+  }
+  check_batch(front.submit_batch(batch));
+  EXPECT_GT(admitted, 30);
+
+  const auto sa = plain.snapshot();
+  const auto sb =
+      front.exclusive([](BandwidthBroker& b) { return b.snapshot(); });
+  ASSERT_TRUE(sa.is_ok());
+  ASSERT_TRUE(sb.is_ok());
+  EXPECT_EQ(sa.value(), sb.value());
 }
 
 }  // namespace

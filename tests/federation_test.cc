@@ -98,10 +98,10 @@ TEST(Partition, MultiDomainIsRouteClosedWithOwnedBoundaries) {
   // route does.
   for (const PathSegment& seg : segments) {
     const Graph local = plan.members[seg.domain].to_graph();
-    const auto sub = k_shortest_paths(local, seg.nodes.front(),
-                                      seg.nodes.back(), 1);
-    ASSERT_FALSE(sub.empty());
-    EXPECT_EQ(sub.front(), seg.nodes);
+    const auto sub = shortest_path(local, seg.nodes.front(),
+                                   seg.nodes.back());
+    ASSERT_TRUE(sub.is_ok());
+    EXPECT_EQ(sub.value(), seg.nodes);
   }
 }
 

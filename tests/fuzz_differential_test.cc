@@ -54,21 +54,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          FuzzTopology::kFig8RateOnly,
                                          FuzzTopology::kDumbbellEdf)));
 
-// Preemption + widest-residual path selection: the decision comparison is
-// necessarily looser (see harness), but state equivalence stays strict.
-TEST(FuzzDifferentialConfigs, PreemptionAndWidestResidual) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    FuzzConfig cfg;
-    cfg.seed = seed;
-    cfg.ops = 1000;
-    cfg.topology = FuzzTopology::kFig8Mixed;
-    cfg.allow_preemption = true;
-    cfg.widest_residual = true;
-    const FuzzResult result = fuzz::run_fuzz(cfg);
-    ASSERT_TRUE(result.ok) << "seed " << seed << ": " << result.summary();
-  }
-}
-
 // CANARY (acceptance criterion): an intentionally-broken cache
 // invalidation — the knot-cache dirty flag silently dropped after every
 // operation — must be caught by the harness within the default seed set.

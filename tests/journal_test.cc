@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -325,7 +326,7 @@ class DurableFsJournalTest : public ::testing::Test {
   }
   static FlowServiceRequest request() {
     return {TrafficProfile::make(60000, 50000, 100000, 12000), 2.19, "I2",
-            "E2", 0};
+            "E2"};
   }
   /// Append bytes behind the broker's back: a crash mid-append.
   void append_raw(const WireBuffer& bytes) {
@@ -439,7 +440,7 @@ class DurableBrokerTest : public ::testing::Test {
 
   static FlowServiceRequest probe_request() {
     return {TrafficProfile::make(60000, 50000, 100000, 12000), 2.19, "I2",
-            "E2", 0};
+            "E2"};
   }
 };
 
@@ -882,6 +883,46 @@ TEST_F(DurableBrokerTest, ReplayDivergenceIsRefused) {
   EXPECT_NE(bad.status().to_string().find("divergence"), std::string::npos);
 }
 
+// An admit record in the format before wire version 2 carried an i64
+// holding priority after the delay requirement and a u32 evicted-flow
+// count (always 0 without eviction) after the bound. A journal holding one
+// must fail recovery with kDataLoss, never load as some other request.
+TEST_F(DurableBrokerTest, ParentFormatAdmitRecordIsRefused) {
+  auto db = open();
+  ASSERT_TRUE(db->provision_path(1, "I2", "E2").is_ok());
+  ASSERT_TRUE(db->request_service(2, probe_request(), 0.0).is_ok());
+  db.reset();
+  const WireBuffer current = file_.contents();
+  ASSERT_TRUE(DurableBroker::open(spec_, opts_, file_).is_ok());
+
+  // Rebuild the admit record in the parent layout from its current bytes:
+  // rid (8) and profile (32) and d_req (8), then the priority.
+  const JournalScan scan = scan_journal(current);
+  ASSERT_TRUE(scan.error.is_ok());
+  ASSERT_EQ(scan.records.size(), 2u);
+  const JournalRecord& admit = scan.records.back();
+  ASSERT_EQ(admit.kind, JournalOpKind::kAdmit);
+  constexpr std::size_t kPriorityAt = 8 + 32 + 8;
+  const std::span<const std::uint8_t> fields(admit.payload);
+  WireWriter parent;
+  parent.raw(fields.first(kPriorityAt));
+  parent.i64(0);  // priority
+  parent.raw(fields.subspan(kPriorityAt));
+  parent.u32(0);  // evicted-flow count
+  WireBuffer image = frame_journal_record(scan.records.front().lsn,
+                                          scan.records.front().kind,
+                                          scan.records.front().payload);
+  const WireBuffer rec =
+      frame_journal_record(admit.lsn, admit.kind, parent.take());
+  image.insert(image.end(), rec.begin(), rec.end());
+  file_.set_contents(image);
+
+  auto bad = DurableBroker::open(spec_, opts_, file_);
+  ASSERT_FALSE(bad.is_ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(bad.status().to_string().find("divergence"), std::string::npos);
+}
+
 // ---- Mixed batches: admits and releases under one group commit ----
 
 /// A memory journal whose appends fail while `failing` is set.
@@ -1177,8 +1218,7 @@ DomainSpec wide_spec() {
 }
 
 FlowServiceRequest wide_request() {
-  return {TrafficProfile::make(60000, 50000, 100000, 12000), 2.19, "I", "E",
-          0};
+  return {TrafficProfile::make(60000, 50000, 100000, 12000), 2.19, "I", "E"};
 }
 
 /// Admit `n` flows in slabs; their ids join `live`.
@@ -1307,7 +1347,7 @@ TEST(DurableAnchorRule, CheckpointLeavesLiveStateEqualToRecovery) {
     const double k = 1.0 + 0.013 * (i % 7);
     FlowServiceRequest req{
         TrafficProfile::make(20000.5 * k, 9876.54 * k, 30001.25 * k, 12000),
-        1.9 + 0.07 * (i % 5), i % 2 ? "I1" : "I2", i % 2 ? "E1" : "E2", 0};
+        1.9 + 0.07 * (i % 5), i % 2 ? "I1" : "I2", i % 2 ? "E1" : "E2"};
     auto r = db->request_service(rid++, req, 1.0 + i);
     if (r.is_ok()) live.push_back(r.value().flow);
     if (i % 3 == 2 && !live.empty()) {
@@ -1339,7 +1379,7 @@ TEST(DurableAnchorRule, CheckpointLeavesLiveStateEqualToRecovery) {
   ASSERT_TRUE(a.is_ok());
   const FlowServiceRequest next{
       TrafficProfile::make(20100.5, 9900.25, 30011.75, 12000), 2.05, "I2",
-      "E2", 0};
+      "E2"};
   auto from_live = db->request_service(rid, next, 99.0);
   auto from_rec = a.value()->request_service(rid, next, 99.0);
   ASSERT_EQ(from_live.is_ok(), from_rec.is_ok());

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/broker.h"
 #include "core/hierarchical.h"
 #include "core/interdomain.h"
@@ -359,6 +364,58 @@ TEST(Snapshot, InterDomainEndpointLegStateRoundTrips) {
   }
 }
 
+/// A snapshot frame of a broker with no flows, classes or external
+/// reservations, whose path MIB lists `routes` in id order.
+std::vector<std::uint8_t> paths_only_frame(
+    const std::vector<std::vector<std::string>>& routes) {
+  WireWriter body;
+  body.u32(static_cast<std::uint32_t>(routes.size()));
+  for (const std::vector<std::string>& route : routes) {
+    body.u32(static_cast<std::uint32_t>(route.size()));
+    for (const std::string& node : route) body.str(node);
+  }
+  for (int section = 0; section < 4; ++section) {
+    body.u32(0);  // per-flow records, classes, macroflows, external
+  }
+  WireWriter frame;
+  frame.u16(kWireMagic);
+  frame.u8(kWireVersion);
+  frame.u8(static_cast<std::uint8_t>(MessageType::kBrokerSnapshot));
+  frame.u32(static_cast<std::uint32_t>(body.buffer().size()));
+  frame.raw(body.buffer());
+  return frame.take();
+}
+
+TEST(Snapshot, SecondRouteForAPairIsRejected) {
+  // I -> E over a 2-hop and a 3-hop route. The path MIB holds one route
+  // per pair, so a frame that provisions both is not a broker's.
+  DomainSpec spec;
+  spec.nodes = {"I", "A", "B1", "B2", "E"};
+  spec.l_max = 12000.0;
+  for (const auto& [from, to] : std::vector<std::pair<const char*,
+                                                      const char*>>{
+           {"I", "A"}, {"A", "E"}, {"I", "B1"}, {"B1", "B2"}, {"B2", "E"}}) {
+    spec.links.push_back(LinkSpec{from, to, 1.5e6, 0.0, SchedPolicy::kCsvc,
+                                  std::numeric_limits<double>::infinity()});
+  }
+  const std::vector<std::string> short_route = {"I", "A", "E"};
+  const std::vector<std::string> long_route = {"I", "B1", "B2", "E"};
+
+  BandwidthBroker bb(spec);
+  ASSERT_TRUE(bb.provision_path("I", "E").is_ok());
+  const auto live = bb.snapshot();
+  ASSERT_TRUE(live.is_ok());
+  ASSERT_EQ(paths_only_frame({short_route}), live.value());
+  ASSERT_TRUE(BandwidthBroker::restore(spec, {}, live.value()).is_ok());
+
+  const auto two = BandwidthBroker::restore(
+      spec, {}, paths_only_frame({short_route, long_route}));
+  ASSERT_FALSE(two.is_ok());
+  EXPECT_EQ(two.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(two.status().to_string().find("second route"),
+            std::string::npos);
+}
+
 TEST(Snapshot, HostileFramesAreCleanErrors) {
   auto original = populated_broker();
   const auto frame = original->snapshot().value();
@@ -373,6 +430,15 @@ TEST(Snapshot, HostileFramesAreCleanErrors) {
   EXPECT_FALSE(BandwidthBroker::restore(
                    spec, {}, encode(TeardownRequest{1}))
                    .is_ok());
+  // A path over a link the domain does not have, or with one node.
+  for (const std::vector<std::string>& route :
+       {std::vector<std::string>{"I1", "E9"},
+        std::vector<std::string>{"I1"}}) {
+    const auto bad =
+        BandwidthBroker::restore(spec, {}, paths_only_frame({route}));
+    ASSERT_FALSE(bad.is_ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  }
   // Random mutations must never crash (they may fail decode or trip a
   // booking REQUIRE, both reported as exceptions or Status; catch both).
   Rng rng(5);

@@ -1,11 +1,11 @@
 // Standalone differential fuzz driver (see tools/fuzz_harness.h).
 //
 //   fuzz_broker --seeds=1:10 --ops=2000              # fixed seed sweep
-//   fuzz_broker --topology=fig8-mixed --preemption   # one configuration
+//   fuzz_broker --topology=fig8-mixed                # one configuration
 //   fuzz_broker --repro=FILE                         # replay a repro file
 //   fuzz_broker --sabotage --seeds=1:3               # canaries (must diverge)
 //   fuzz_broker --crash-sweep --seeds=1:30           # crash-point sweep
-//   fuzz_broker --threads=4 --seeds=1:10             # concurrent-front diff
+//   fuzz_broker --threaded --seeds=1:10              # concurrent-front diff
 //   fuzz_broker --batch --seeds=1:10                 # batch-heavy op mix
 //
 // Every (seed, topology) pair runs the full differential check. On a
@@ -20,10 +20,11 @@
 // under single-bit corruption (run_crash_sweep). With --sabotage it instead
 // requires every sweep to detect the dropped append.
 //
-// --threads=N (any N >= 1) switches to the concurrent-front differential
+// --threaded switches to the concurrent-front differential
 // (run_fuzz_threaded): the same op sequences replayed through a
 // ConcurrentBrokerFront, each op on its own thread joined before the next,
 // and required to be bit-identical to the sequential monolith after every op.
+// A leftover --threads=N exits 2 with a message naming --threaded.
 //
 // --batch widens the kBatchAdmit slice of the generated op mix (~6% ->
 // ~24%), stressing the grouped submit_batch / request_service_batch paths
@@ -53,12 +54,10 @@ struct Args {
   std::vector<FuzzTopology> topologies = {FuzzTopology::kFig8Mixed,
                                           FuzzTopology::kFig8RateOnly,
                                           FuzzTopology::kDumbbellEdf};
-  bool preemption = false;
-  bool widest = false;
   bool sabotage = false;
   bool crash_sweep = false;
   bool batch_heavy = false;
-  int threads = 0;  ///< > 0: concurrent-front differential mode
+  bool threaded = false;  ///< concurrent-front differential mode
   std::string repro_file;
   std::string dump_dir = ".";
 };
@@ -94,22 +93,20 @@ bool parse_args(int argc, char** argv, Args* args) {
         std::fprintf(stderr, "unknown topology '%s'\n", t.c_str());
         return false;
       }
-    } else if (a == "--preemption") {
-      args->preemption = true;
-    } else if (a == "--widest") {
-      args->widest = true;
     } else if (a == "--sabotage") {
       args->sabotage = true;
     } else if (a == "--crash-sweep") {
       args->crash_sweep = true;
     } else if (a == "--batch") {
       args->batch_heavy = true;
-    } else if (const char* vt = value("--threads=")) {
-      args->threads = std::atoi(vt);
-      if (args->threads < 1) {
-        std::fprintf(stderr, "--threads needs a positive count\n");
-        return false;
-      }
+    } else if (a == "--threaded") {
+      args->threaded = true;
+    } else if (value("--threads=") != nullptr) {
+      std::fprintf(stderr,
+                   "unknown argument '%s': use --threaded for the "
+                   "concurrent-front differential\n",
+                   a.c_str());
+      return false;
     } else if (const char* v4 = value("--repro=")) {
       args->repro_file = v4;
     } else if (const char* v5 = value("--dump-dir=")) {
@@ -162,8 +159,6 @@ FuzzConfig make_config(const Args& args, std::uint64_t seed,
   cfg.seed = seed;
   cfg.ops = args.ops;
   cfg.topology = topo;
-  cfg.allow_preemption = args.preemption;
-  cfg.widest_residual = args.widest;
   cfg.batch_heavy = args.batch_heavy;
   return cfg;
 }
@@ -279,10 +274,9 @@ int main(int argc, char** argv) {
     for (std::uint64_t seed = args.seed_lo; seed <= args.seed_hi; ++seed) {
       const FuzzConfig cfg = make_config(args, seed, topo);
       const FuzzResult result =
-          args.threads > 0 ? qosbb::fuzz::run_fuzz_threaded(cfg)
-                           : qosbb::fuzz::run_fuzz(cfg);
-      std::printf("%sseed %llu %s: %s\n",
-                  args.threads > 0 ? "threaded " : "",
+          args.threaded ? qosbb::fuzz::run_fuzz_threaded(cfg)
+                        : qosbb::fuzz::run_fuzz(cfg);
+      std::printf("%sseed %llu %s: %s\n", args.threaded ? "threaded " : "",
                   static_cast<unsigned long long>(seed),
                   qosbb::fuzz::fuzz_topology_name(topo),
                   result.summary().c_str());
@@ -290,7 +284,7 @@ int main(int argc, char** argv) {
         ++divergences;
         // Threaded divergences are not minimized (minimize() replays the
         // journal-backed sequential harness); the summary pinpoints the op.
-        if (args.threads == 0) dump_divergence(cfg, result, args.dump_dir);
+        if (!args.threaded) dump_divergence(cfg, result, args.dump_dir);
       }
     }
   }

@@ -70,11 +70,6 @@ Result<Reservation> run_member(DurableBroker& db, const SlabOp& op,
 
 namespace {
 
-/// Tolerance for "state unchanged after a rejected request" checks where
-/// re-booking order changes float sums in the last ulp. Crash recovery is
-/// held to EXACT equality (deterministic redo from an identical base).
-constexpr double kStateTol = 1e-6;
-
 /// Issued-request log entry: everything needed to re-deliver a request
 /// verbatim (the resolved arguments, NOT the ordinals — redelivery must hit
 /// the dedup window, not re-resolve against changed live lists).
@@ -137,10 +132,6 @@ void fuzz_domain(const FuzzConfig& cfg, DomainSpec* spec,
     }
   }
   options->contingency = ContingencyMethod::kFeedback;
-  options->allow_preemption = cfg.allow_preemption;
-  options->path_selection = cfg.widest_residual
-                                ? PathSelection::kWidestResidual
-                                : PathSelection::kMinHop;
 }
 
 ExecState make_state(const FuzzConfig& cfg) {
@@ -192,17 +183,13 @@ std::vector<std::pair<double, double>> capture_links(const ExecState& st) {
 
 bool links_unchanged(const ExecState& st,
                      const std::vector<std::pair<double, double>>& before,
-                     bool exact, std::string* why) {
+                     std::string* why) {
   for (std::size_t i = 0; i < st.spec.links.size(); ++i) {
     const auto& l = st.spec.links[i];
     const LinkQosState& link =
         st.db->broker().nodes().link(l.from + "->" + l.to);
-    const double dr = std::abs(link.reserved() - before[i].first);
-    const double db = std::abs(link.buffer_reserved() - before[i].second);
-    const bool bad = exact ? (link.reserved() != before[i].first ||
-                              link.buffer_reserved() != before[i].second)
-                           : (dr > kStateTol || db > kStateTol);
-    if (bad) {
+    if (link.reserved() != before[i].first ||
+        link.buffer_reserved() != before[i].second) {
       std::ostringstream os;
       os.precision(17);
       os << "mutated " << link.name() << ": reserved " << before[i].first
@@ -231,8 +218,7 @@ bool reservations_identical(const Reservation& a, const Reservation& b,
                             const std::string& context, const char* a_name,
                             const char* b_name, std::string* why) {
   if (a.flow == b.flow && a.path == b.path && a.params.rate == b.params.rate &&
-      a.params.delay == b.params.delay && a.e2e_bound == b.e2e_bound &&
-      a.preempted == b.preempted) {
+      a.params.delay == b.params.delay && a.e2e_bound == b.e2e_bound) {
     return true;
   }
   std::ostringstream os;
@@ -250,7 +236,7 @@ bool reservations_identical(const Reservation& a, const Reservation& b,
 /// batch near saturation mixes admits and rejects). Shared by the
 /// journal-backed and threaded harnesses so both replay the SAME batch.
 std::vector<FlowServiceRequest> batch_members(
-    const FuzzOp& op, const FuzzConfig& cfg,
+    const FuzzOp& op,
     const std::vector<std::pair<std::string, std::string>>& pairs) {
   const std::size_t k = 2 + static_cast<std::size_t>(op.target % 7);
   std::vector<FlowServiceRequest> reqs;
@@ -262,7 +248,7 @@ std::vector<FlowServiceRequest> batch_members(
     reqs.push_back(FlowServiceRequest{
         TrafficProfile::make(op.sigma, op.rho + 1000.0 * fan,
                              op.peak + 2000.0 * fan, op.l_max),
-        op.d_req, in, out, cfg.allow_preemption ? op.priority : 0});
+        op.d_req, in, out});
   }
   return reqs;
 }
@@ -354,8 +340,7 @@ bool execute_op(ExecState& st, const FuzzOp& op, const FuzzConfig& cfg,
   switch (op.kind) {
     case OpKind::kAdmit: {
       const auto& [in, out] = st.pairs[pick(op.pair, st.pairs.size())];
-      FlowServiceRequest req{op_profile(op), op.d_req, in, out,
-                             cfg.allow_preemption ? op.priority : 0};
+      FlowServiceRequest req{op_profile(op), op.d_req, in, out};
       const OracleDecision od = oracle_decide_request(bb, req);
       const auto before = capture_links(st);
       const RequestId rid = st.next_rid++;
@@ -375,35 +360,25 @@ bool execute_op(ExecState& st, const FuzzOp& op, const FuzzConfig& cfg,
       if (res.is_ok()) {
         ++stats.admits;
         call.result_flow = res.value().flow;
-        // Evicted victims are already released by the broker — drop them
-        // from the live list before they become dangling targets.
-        for (FlowId victim : res.value().preempted) {
-          std::erase(st.per_flow, victim);
-        }
         st.per_flow.push_back(res.value().flow);
-        if (res.value().preempted.empty()) {
-          // Plain admission: oracle must agree on admit, path, and params.
-          if (!od.outcome.admitted) {
-            os << "broker admitted (r " << res.value().params.rate << ", d "
-               << res.value().params.delay << " on path "
-               << res.value().path << "), oracle rejected ("
-               << reject_reason_name(od.outcome.reason) << ": "
-               << od.outcome.detail << ")";
-            *why = os.str();
-            return false;
-          }
-          if (od.path != res.value().path) {
-            os << "path choice mismatch: broker " << res.value().path
-               << ", oracle " << od.path;
-            *why = os.str();
-            return false;
-          }
-          if (!oracle_outcomes_equivalent(fast, od.outcome, why)) {
-            return false;
-          }
+        // The oracle must agree on admit, path, and params.
+        if (!od.outcome.admitted) {
+          os << "broker admitted (r " << res.value().params.rate << ", d "
+             << res.value().params.delay << " on path " << res.value().path
+             << "), oracle rejected (" << reject_reason_name(od.outcome.reason)
+             << ": " << od.outcome.detail << ")";
+          *why = os.str();
+          return false;
         }
-        // Admission via preemption: the oracle (which never preempts) is
-        // expected to reject; nothing to compare.
+        if (od.path != res.value().path) {
+          os << "path choice mismatch: broker " << res.value().path
+             << ", oracle " << od.path;
+          *why = os.str();
+          return false;
+        }
+        if (!oracle_outcomes_equivalent(fast, od.outcome, why)) {
+          return false;
+        }
       } else {
         ++stats.rejects;
         if (od.outcome.admitted) {
@@ -413,13 +388,10 @@ bool execute_op(ExecState& st, const FuzzOp& op, const FuzzConfig& cfg,
           *why = os.str();
           return false;
         }
-        // With preemption enabled a failed eviction attempt leaves
-        // last_outcome_ mid-eviction — compare reasons only without it.
-        if (!cfg.allow_preemption &&
-            !oracle_outcomes_equivalent(fast, od.outcome, why)) {
+        if (!oracle_outcomes_equivalent(fast, od.outcome, why)) {
           return false;
         }
-        if (!links_unchanged(st, before, !cfg.allow_preemption, why)) {
+        if (!links_unchanged(st, before, why)) {
           *why = "rejected request " + *why;
           return false;
         }
@@ -429,7 +401,7 @@ bool execute_op(ExecState& st, const FuzzOp& op, const FuzzConfig& cfg,
     }
     case OpKind::kBatchAdmit: {
       const std::vector<FlowServiceRequest> reqs =
-          batch_members(op, cfg, st.pairs);
+          batch_members(op, st.pairs);
       const std::vector<SlabOp> ops =
           batch_ops(op, reqs, st.per_flow, &st.next_rid);
       const std::vector<std::size_t> order = batch_execution_order(ops);
@@ -522,9 +494,7 @@ bool execute_op(ExecState& st, const FuzzOp& op, const FuzzConfig& cfg,
         call.ok = got[j].is_ok();
         call.now = st.now;
         if (!ops[j].is_admit()) {
-          // Only an eviction earlier in the batch can take a live flow
-          // away before its release runs.
-          if (!call.ok && !cfg.allow_preemption) {
+          if (!call.ok) {
             *why = "batch release of live flow failed: " +
                    got[j].status().to_string();
             return false;
@@ -543,9 +513,6 @@ bool execute_op(ExecState& st, const FuzzOp& op, const FuzzConfig& cfg,
         if (got[j].is_ok()) {
           ++stats.admits;
           call.result_flow = got[j].value().flow;
-          for (FlowId victim : got[j].value().preempted) {
-            std::erase(st.per_flow, victim);
-          }
           st.per_flow.push_back(got[j].value().flow);
         } else {
           ++stats.rejects;
@@ -874,7 +841,7 @@ bool execute_op(ExecState& st, const FuzzOp& op, const FuzzConfig& cfg,
         *why = os.str();
         return false;
       }
-      if (!links_unchanged(st, before, /*exact=*/true, why)) {
+      if (!links_unchanged(st, before, why)) {
         *why = "redelivery " + *why;
         return false;
       }
@@ -935,9 +902,9 @@ const char* fuzz_topology_name(FuzzTopology t) {
 std::string FuzzOp::to_line() const {
   char buf[320];
   std::snprintf(buf, sizeof(buf),
-                "%d %.17g %.17g %.17g %.17g %.17g %d %d %lld %.17g",
-                static_cast<int>(kind), sigma, rho, peak, l_max, d_req,
-                priority, pair, static_cast<long long>(target), amount);
+                "%d %.17g %.17g %.17g %.17g %.17g %d %lld %.17g",
+                static_cast<int>(kind), sigma, rho, peak, l_max, d_req, pair,
+                static_cast<long long>(target), amount);
   return buf;
 }
 
@@ -947,7 +914,7 @@ std::optional<FuzzOp> FuzzOp::from_line(const std::string& line) {
   long long target_ll = 0;
   std::istringstream is(line);
   if (!(is >> kind_int >> op.sigma >> op.rho >> op.peak >> op.l_max >>
-        op.d_req >> op.priority >> op.pair >> target_ll >> op.amount)) {
+        op.d_req >> op.pair >> target_ll >> op.amount)) {
     return std::nullopt;
   }
   if (kind_int < 0 || kind_int > static_cast<int>(OpKind::kBatchAdmit)) {
@@ -1069,7 +1036,6 @@ std::vector<FuzzOp> generate_ops(const FuzzConfig& cfg) {
     // paths (kNoFeasibleRate / kEdfUnschedulable).
     op.d_req = rng.bernoulli(0.8) ? rng.uniform(1.6, 4.0)
                                   : rng.uniform(0.3, 1.2);
-    op.priority = static_cast<int>(rng.uniform_int(0, 3));
     op.pair = static_cast<int>(rng.uniform_int(0, 7));
     op.target = rng.uniform_int(0, (std::int64_t{1} << 30) - 1);
     op.amount = rng.uniform(20000.0, 200000.0);
@@ -1224,8 +1190,7 @@ FuzzResult run_fuzz_threaded(const FuzzConfig& cfg) {
     switch (op.kind) {
       case OpKind::kAdmit: {
         const auto& [in, out] = pairs[pick(op.pair, pairs.size())];
-        FlowServiceRequest req{op_profile(op), op.d_req, in, out,
-                               cfg.allow_preemption ? op.priority : 0};
+        FlowServiceRequest req{op_profile(op), op.d_req, in, out};
         auto rm = mono.request_service(req, now);
         const AdmissionOutcome mo = mono.last_outcome();
         FrontOutcome fo =
@@ -1244,7 +1209,6 @@ FuzzResult run_fuzz_threaded(const FuzzConfig& cfg) {
                                       "monolith", "front", &why)) {
             break;
           }
-          for (FlowId victim : a.preempted) std::erase(per_flow, victim);
           per_flow.push_back(a.flow);
           ++result.admits;
         } else {
@@ -1260,7 +1224,7 @@ FuzzResult run_fuzz_threaded(const FuzzConfig& cfg) {
       }
       case OpKind::kBatchAdmit: {
         const std::vector<FlowServiceRequest> reqs =
-            batch_members(op, cfg, pairs);
+            batch_members(op, pairs);
         // Monolith reference: the members one at a time in grouped order —
         // the batch call's defined equivalence.
         const std::vector<std::size_t> order = batch_grouped_order(reqs);
@@ -1305,9 +1269,6 @@ FuzzResult run_fuzz_threaded(const FuzzConfig& cfg) {
         if (!why.empty()) break;
         for (const std::size_t j : order) {
           if (rm[j].is_ok()) {
-            for (FlowId victim : rm[j].value().preempted) {
-              std::erase(per_flow, victim);
-            }
             per_flow.push_back(rm[j].value().flow);
             ++result.admits;
           } else {
@@ -1605,9 +1566,7 @@ std::string dump_repro(const FuzzConfig& cfg,
   std::ostringstream os;
   os << "# qosbb fuzz repro\n";
   os << "# seed " << cfg.seed << " ops " << ops.size() << " topology "
-     << static_cast<int>(cfg.topology) << " preemption "
-     << (cfg.allow_preemption ? 1 : 0) << " widest "
-     << (cfg.widest_residual ? 1 : 0) << " sabotage "
+     << static_cast<int>(cfg.topology) << " sabotage "
      << (cfg.sabotage_knot_cache ? 1 : 0) << " sabotage-drop "
      << (cfg.sabotage_drop_append ? 1 : 0) << "\n";
   for (const FuzzOp& op : ops) os << op.to_line() << "\n";
@@ -1631,18 +1590,15 @@ std::optional<std::pair<FuzzConfig, std::vector<FuzzOp>>> parse_repro(
       hs.str(line);
       hs.clear();
       std::uint64_t seed = 0;
-      int nops = 0, topo = 0, pre = 0, widest = 0, sab = 0, sdrop = 0;
-      std::string k1, k2, k3, k4, k5, k6, k7;
+      int nops = 0, topo = 0, sab = 0, sdrop = 0;
+      std::string k1, k2, k3, k4, k5;
       if (hs >> hash >> k1 >> seed >> k2 >> nops >> k3 >> topo >> k4 >>
-          pre >> k5 >> widest >> k6 >> sab) {
+          sab >> k5 >> sdrop) {
         cfg.seed = seed;
         cfg.ops = nops;
         cfg.topology = static_cast<FuzzTopology>(topo);
-        cfg.allow_preemption = pre != 0;
-        cfg.widest_residual = widest != 0;
         cfg.sabotage_knot_cache = sab != 0;
-        // Pre-journal repro files end here; the flag defaults to off.
-        if (hs >> k7 >> sdrop) cfg.sabotage_drop_append = sdrop != 0;
+        cfg.sabotage_drop_append = sdrop != 0;
         have_header = true;
       }
       continue;

@@ -78,7 +78,6 @@ struct FuzzOp {
   double peak = 0.0;
   double l_max = 0.0;
   double d_req = 0.0;
-  int priority = 0;   ///< holding priority (preemption configs only)
   int pair = 0;       ///< ingress/egress pair ordinal
   std::int64_t target = 0;  ///< flow / class / link ordinal (mod list size)
   double amount = 0.0;      ///< bandwidth for kLinkReserve / kLinkRelease
@@ -98,8 +97,6 @@ struct FuzzConfig {
   std::uint64_t seed = 1;
   int ops = 2000;
   FuzzTopology topology = FuzzTopology::kFig8Mixed;
-  bool allow_preemption = false;
-  bool widest_residual = false;
   /// TEST ONLY (canary): drop every knot-cache dirty flag after each op
   /// without rebuilding — simulates a forgotten invalidation. The harness
   /// MUST report a divergence quickly under this flag. Crash/recover ops
